@@ -1,5 +1,7 @@
 // Simulator hot-path throughput (E15): items/sec for FF/BF/WF/CDFF/HA
-// across n up to 1e7, for the three execution tiers:
+// across n up to 1e7 (FF and BF also on the general-tail family, whose 1%
+// near-capacity items stress BestFit's capacity bound), for the three
+// execution tiers:
 //
 //   soa        SoA ledger columns + flat active-item map (the data plane)
 //   reference  the original AoS ledger (the bit-identical oracle)
@@ -20,6 +22,7 @@
 // CI smoke runs.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -74,6 +77,27 @@ Instance make_general(std::size_t n) {
   config.horizon = std::max(64.0, static_cast<double>(n) / 50.0);
   std::mt19937_64 rng(42);
   return workloads::make_general_random(config, rng);
+}
+
+/// make_general(n) with a near-capacity tail: 1% of the items get
+/// 1 - size log-uniform in [1e-6, 1e-1] (the large-VM-fills-a-host case).
+/// This is the input that exposes the cost of BestFit's exact capacity
+/// bound, which grows with how close a size is to 1.
+Instance make_general_tail(std::size_t n) {
+  const Instance body = make_general(n);
+  std::mt19937_64 rng(43);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double lo = std::log(1e-6), hi = std::log(1e-1);
+  Instance out;
+  for (const Item& r : body.items()) {
+    // Both draws happen for every item, so the tail picks do not depend
+    // on which earlier items were picked.
+    const double pick = unit(rng);
+    const double gap = std::exp(lo + unit(rng) * (hi - lo));
+    out.add(r.arrival, r.departure, pick < 0.01 ? 1.0 - gap : r.size);
+  }
+  out.finalize();
+  return out;
 }
 
 Instance make_aligned(std::size_t n) {
@@ -245,12 +269,13 @@ int main(int argc, char** argv) {
 
   std::vector<ThroughputRow> rows;
   std::cout << "== simulator hot path: items/sec by storage backend ==\n";
-  report::Table table({"algorithm", "n", "soa items/s", "reference items/s",
-                       "soa speedup", "linear items/s", "vs linear",
-                       "cost equal"});
+  report::Table table({"algorithm", "workload", "n", "soa items/s",
+                       "reference items/s", "soa speedup", "linear items/s",
+                       "vs linear", "cost equal"});
 
   for (const std::size_t n : sizes) {
     const Instance general = make_general(n);
+    const Instance general_tail = make_general_tail(n);
     const Instance aligned = make_aligned(n);
 
     struct Entry {
@@ -269,6 +294,14 @@ int main(int argc, char** argv) {
         {"BestFit", "general", std::make_unique<algos::BestFit>(),
          std::make_unique<algos::BestFit>(algos::SelectMode::kLinearScan),
          &general});
+    entries.push_back(
+        {"FirstFit", "general-tail", std::make_unique<algos::FirstFit>(),
+         std::make_unique<algos::FirstFit>(algos::SelectMode::kLinearScan),
+         &general_tail});
+    entries.push_back(
+        {"BestFit", "general-tail", std::make_unique<algos::BestFit>(),
+         std::make_unique<algos::BestFit>(algos::SelectMode::kLinearScan),
+         &general_tail});
     entries.push_back(
         {"WorstFit", "general", std::make_unique<algos::WorstFit>(),
          std::make_unique<algos::WorstFit>(algos::SelectMode::kLinearScan),
@@ -307,7 +340,7 @@ int main(int argc, char** argv) {
             report::Table::num(soa.items_per_sec / lin.items_per_sec, 1) + "x";
         equal = equal && soa.cost == lin.cost;
       }
-      table.add_row({e.label, std::to_string(e.instance->size()),
+      table.add_row({e.label, e.workload, std::to_string(e.instance->size()),
                      human(soa.items_per_sec), human(ref.items_per_sec),
                      report::Table::num(
                          soa.items_per_sec / ref.items_per_sec, 2) + "x",
@@ -322,7 +355,7 @@ int main(int argc, char** argv) {
     const Timed ref = run_once(general, ff, LedgerStorage::kReference);
     rows.push_back({"FirstFit", "general", general.size(), "soa", soa});
     rows.push_back({"FirstFit", "general", general.size(), "reference", ref});
-    table.add_row({"FirstFit", std::to_string(general.size()),
+    table.add_row({"FirstFit", "general", std::to_string(general.size()),
                    human(soa.items_per_sec), human(ref.items_per_sec),
                    report::Table::num(
                        soa.items_per_sec / ref.items_per_sec, 2) + "x",

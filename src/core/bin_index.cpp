@@ -11,12 +11,16 @@ namespace {
 
 // Selection-probe instruments shared by all index instances: `index.probes`
 // counts fit queries, `index.probe_steps` the tree-descent work they did, so
-// steps/probes ~ log2(open bins) on a healthy index. Namespace-scope
+// steps/probes ~ log2(open bins) on a healthy index; `index.bound_probes`
+// counts the fits_in_bin evaluations best_fit spends on its key bound
+// (max_load_admitting), kept apart from the descent steps. Namespace-scope
 // references (not function-local statics) so the per-query cost is the
 // fetch_add alone, with no initialization-guard load on the hot path.
 obs::Counter& g_probes = obs::MetricsRegistry::global().counter("index.probes");
 obs::Counter& g_probe_steps =
     obs::MetricsRegistry::global().counter("index.probe_steps");
+obs::Counter& g_bound_probes =
+    obs::MetricsRegistry::global().counter("index.bound_probes");
 
 }  // namespace
 
@@ -86,7 +90,9 @@ BinId BinCapacityIndex::best_fit(Load size) const {
   g_probes.add();
   if (!by_load_active_) activate_by_load();
   if (by_load_.empty()) return kNoBin;
-  const Load bound = max_load_admitting(size);
+  std::uint64_t bound_probes = 0;
+  const Load bound = max_load_admitting(size, bound_probes);
+  g_bound_probes.add(bound_probes);
   auto it = by_load_.upper_bound(
       {bound, std::numeric_limits<BinId>::max()});
   if (it == by_load_.begin()) return kNoBin;

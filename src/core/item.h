@@ -49,7 +49,14 @@ struct DurationType {
   friend auto operator<=>(const DurationType&, const DurationType&) = default;
 
   [[nodiscard]] std::string to_string() const {
-    return "(" + std::to_string(i) + "," + std::to_string(c) + ")";
+    // Built with append: GCC 12 at -O3 flags the chained `"(" + ...` form
+    // with a false -Wrestrict positive.
+    std::string out = "(";
+    out.append(std::to_string(i))
+        .append(",")
+        .append(std::to_string(c))
+        .append(")");
+    return out;
   }
 };
 

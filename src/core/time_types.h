@@ -7,6 +7,7 @@
 // through the helpers below so the tolerance lives in exactly one place.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -57,19 +58,78 @@ inline constexpr double kTimeEps = 1e-9;
   return a > b + kLoadEps;
 }
 
+namespace detail {
+
+/// Maps a double onto an unsigned key whose integer order is the numeric
+/// order of the doubles (-0.0 sits one key below +0.0; NaNs lie outside
+/// [-inf, +inf]). Adjacent keys are adjacent doubles, so a key distance is
+/// an ulp count.
+[[nodiscard]] inline std::uint64_t ordered_key(double x) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return bits >> 63 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+[[nodiscard]] inline double from_ordered_key(std::uint64_t key) noexcept {
+  return std::bit_cast<double>(key >> 63 ? key & ~(std::uint64_t{1} << 63)
+                                         : ~key);
+}
+
+}  // namespace detail
+
 /// Largest load value that still admits `size` under fits_in_bin, computed
 /// exactly on the double grid (fits_in_bin is monotone non-increasing in
 /// load, so the admitting loads form a prefix of the number line). Used by
-/// the capacity index to turn the tolerance predicate into a key bound; the
-/// nextafter walks start within a few ulps of the boundary and terminate in
-/// O(1) steps.
+/// the capacity index to turn the tolerance predicate into a key bound.
+///
+/// The search starts at 1 + eps - size, gallops away from it on the ordered
+/// bit pattern (probe offsets 1, 3, 7, ... ulps) until fits_in_bin flips,
+/// then bisects the bracket. A boundary d ulps away costs about
+/// 2*log2(d) + 2 probes; `probes` is incremented once per fits_in_bin
+/// evaluation. Sizes in [0, 1) whose start point is >= 0.25 land within
+/// 2 ulps (<= 4 probes); as size -> 1 the start point shrinks towards eps
+/// while the boundary stays half an ulp(1) above it, so d grows to 2^29 at
+/// size 1.0 (60 probes). No finite size takes more than 128 probes.
+/// `size` must not be NaN or +infinity.
+[[nodiscard]] inline Load max_load_admitting(Load size,
+                                             std::uint64_t& probes) noexcept {
+  constexpr std::uint64_t kTop = 0xFFF0000000000000;     // key of +inf
+  constexpr std::uint64_t kBottom = 0x000FFFFFFFFFFFFF;  // key of -inf
+  const auto fits = [&](std::uint64_t key) {
+    ++probes;
+    return fits_in_bin(detail::from_ordered_key(key), size);
+  };
+  // Invariant once bracketed: fits(lo) and !fits(hi). +inf never fits and
+  // -inf always does, so clamping the gallop there keeps it finite.
+  std::uint64_t lo = detail::ordered_key(kBinCapacity + kLoadEps - size);
+  std::uint64_t hi = lo;
+  std::uint64_t step = 1;
+  if (fits(lo)) {
+    for (;; step *= 2) {
+      hi = lo + std::min(step, kTop - lo);
+      if (!fits(hi)) break;
+      lo = hi;
+    }
+  } else {
+    for (;; step *= 2) {
+      lo = hi - std::min(step, hi - kBottom);
+      if (fits(lo)) break;
+      hi = lo;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (fits(mid))
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return detail::from_ordered_key(lo);
+}
+
+/// max_load_admitting without the probe count.
 [[nodiscard]] inline Load max_load_admitting(Load size) noexcept {
-  Load t = kBinCapacity + kLoadEps - size;
-  while (fits_in_bin(t, size))
-    t = std::nextafter(t, std::numeric_limits<double>::infinity());
-  while (!fits_in_bin(t, size))
-    t = std::nextafter(t, -std::numeric_limits<double>::infinity());
-  return t;
+  std::uint64_t probes = 0;
+  return max_load_admitting(size, probes);
 }
 
 /// True when |a - b| is within load tolerance.

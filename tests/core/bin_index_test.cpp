@@ -1,12 +1,41 @@
 #include "core/bin_index.h"
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace cdbp {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The original one-ulp-at-a-time search, kept as the bit-identity oracle for
+// max_load_admitting. Its cost is the ulp distance from 1 + eps - size to
+// the boundary, about 2^(k-1) steps at size 1 - 2^-k (2^29 at size 1.0).
+Load walk_max_load_admitting(Load size) {
+  Load t = kBinCapacity + kLoadEps - size;
+  while (fits_in_bin(t, size)) t = std::nextafter(t, kInf);
+  while (!fits_in_bin(t, size)) t = std::nextafter(t, -kInf);
+  return t;
+}
+
+void expect_matches_walk(Load size) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(max_load_admitting(size)),
+            std::bit_cast<std::uint64_t>(walk_max_load_admitting(size)))
+      << "size " << size;
+}
+
+std::uint64_t bound_probes(Load size) {
+  std::uint64_t probes = 0;
+  (void)max_load_admitting(size, probes);
+  return probes;
+}
 
 TEST(MaxLoadAdmitting, MatchesFitsInBinBoundaryExactly) {
   std::mt19937_64 rng(7);
@@ -27,7 +56,70 @@ TEST(MaxLoadAdmitting, MatchesFitsInBinBoundaryExactly) {
         std::nextafter(bound, std::numeric_limits<double>::infinity()),
         size));
   }
+  // Sizes 1 - 2^-k for k > 30, too close to 1 for the walk oracle.
+  for (int k = 31; k <= 53; ++k) {
+    const Load size = 1.0 - std::ldexp(1.0, -k);
+    const Load bound = max_load_admitting(size);
+    EXPECT_TRUE(fits_in_bin(bound, size)) << "k " << k;
+    EXPECT_FALSE(fits_in_bin(std::nextafter(bound, kInf), size)) << "k " << k;
+  }
 }
+
+// Sizes 1 - 2^-k approach capacity one bit at a time; each doubles the
+// walk's length, so k = 30 is as far as the oracle can be run.
+class MaxLoadAdmittingNearOne : public ::testing::TestWithParam<int> {};
+
+TEST_P(MaxLoadAdmittingNearOne, MatchesWalkBitForBit) {
+  expect_matches_walk(1.0 - std::ldexp(1.0, -GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(K, MaxLoadAdmittingNearOne, ::testing::Range(1, 31));
+
+TEST(MaxLoadAdmitting, MatchesWalkOnRandomAndSubnormalSizes) {
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int k = 0; k < 2000; ++k) expect_matches_walk(unit(rng));
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (const Load size :
+       {0.0, -0.0, denorm, 2 * denorm, 12345.0 * denorm,
+        std::numeric_limits<double>::min() / 3,
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        std::numeric_limits<double>::min(), kLoadEps, 1.0 / 3, 0.5, 0.75})
+    expect_matches_walk(size);
+}
+
+TEST(MaxLoadAdmitting, ProbeCountIsLogarithmicNearCapacity) {
+  for (const Load size : {0.0, 1e-300, 0.5, 0.999, 0.9999999,
+                          1.0 - std::ldexp(1.0, -52), 1.0})
+    EXPECT_LE(bound_probes(size), 130u) << "size " << size;
+  // At 1.0 the boundary is 2^29 ulps away: gallop and bisect, not walk.
+  EXPECT_LE(bound_probes(1.0), 64u);
+}
+
+TEST(MaxLoadAdmitting, ProbeCountStaysSmallOnBodySizes) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> body(0.02, 0.6);
+  for (int k = 0; k < 100000; ++k) {
+    const Load size = body(rng);
+    ASSERT_LE(bound_probes(size), 4u) << "size " << size;
+  }
+  for (const Load size : {0.02, 0.25, 0.5, 0.6})
+    EXPECT_LE(bound_probes(size), 4u) << "size " << size;
+}
+
+#ifndef CDBP_OBS_OFF
+TEST(BinCapacityIndex, BestFitCountsItsBoundProbes) {
+  obs::Counter& counter =
+      obs::MetricsRegistry::global().counter("index.bound_probes");
+  BinCapacityIndex idx;
+  idx.set_load(idx.add_bin(0), 0.3);
+  for (const Load size : {0.25, 0.6, 0.9999999, 1.0}) {
+    const std::uint64_t before = counter.value();
+    (void)idx.best_fit(size);
+    EXPECT_EQ(counter.value() - before, bound_probes(size)) << "size " << size;
+  }
+}
+#endif
 
 TEST(BinCapacityIndex, EmptyIndexSelectsNothing) {
   BinCapacityIndex idx;

@@ -7,6 +7,7 @@
 //    (they depend on the multiset of items only);
 //  * shifting an instance in time shifts nothing but timestamps.
 #include <algorithm>
+#include <cmath>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -62,8 +63,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionEquivalence,
 // The capacity index must be a pure data-structure change: every algorithm
 // running in SelectMode::kIndexed has to pick the exact same bin as the
 // seed SelectMode::kLinearScan implementation at every arrival, hence
-// produce a bit-identical cost. 18 seeds x (7 general + 8 aligned)
-// algorithm pairs = 270 instance/algorithm runs.
+// produce a bit-identical cost. 18 seeds x (7 general + 9 aligned + 9
+// near-capacity) algorithm pairs = 450 instance/algorithm runs. The linear
+// scan tests fits_in_bin directly, so it is an independent oracle for
+// BestFit's key bound.
 
 struct ModePair {
   std::string name;
@@ -111,6 +114,20 @@ std::vector<ModePair> mode_pairs() {
   return out;
 }
 
+// CDFF is only defined on aligned inputs, so its pairs run on those alone.
+std::vector<ModePair> cdff_pairs() {
+  using namespace algos;
+  std::vector<ModePair> out;
+  for (const auto& [name, rule] : {std::pair{"CDFF", FitRule::kFirst},
+                                   std::pair{"CDBF", FitRule::kBest}})
+    out.push_back({name, [rule] { return std::make_unique<Cdff>(rule); },
+                   [rule] {
+                     return std::make_unique<Cdff>(rule,
+                                                   SelectMode::kLinearScan);
+                   }});
+  return out;
+}
+
 void expect_same_run(const Instance& in, const ModePair& pair) {
   auto idx_algo = pair.indexed();
   auto lin_algo = pair.linear();
@@ -122,6 +139,50 @@ void expect_same_run(const Instance& in, const ModePair& pair) {
   for (std::size_t k = 0; k < idx.placements.size(); ++k)
     ASSERT_EQ(idx.placements[k].bin, lin.placements[k].bin)
         << pair.name << " item " << k;
+}
+
+// Near-capacity family: keeps `in`'s times and redraws every size. Half the
+// items are large, 1 - size log-uniform in [1e-6, 1e-1]. The other half are
+// small, within one ulp of the largest load that the previous or the next
+// large item fits on. fits_in_bin(a, b) == fits_in_bin(b, a), so whichever
+// item of such a pair arrives second is placed at BestFit's key bound.
+Instance with_near_capacity_sizes(const Instance& in, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> log_gap(std::log(1e-6),
+                                                 std::log(1e-1));
+  const auto draw_large = [&] { return 1.0 - std::exp(log_gap(rng)); };
+  // For a large size s, 1 + eps - s is exact (Sterbenz), and a load fits s
+  // iff it is at most (1 + eps - s) + 2^-53, up to the rounding tie: the
+  // boundary is that double or the one below it.
+  const auto edge = [](Load s) {
+    return kBinCapacity + kLoadEps - s + std::ldexp(1.0, -53);
+  };
+  const auto near = [&](Load t) {
+    const auto j = rng() % 3;
+    return j == 0 ? std::nextafter(t, 0.0)
+                  : j == 1 ? t : std::nextafter(t, 1.0);
+  };
+  Load prev_large = draw_large();
+  Load next_large = draw_large();
+  Instance out;
+  for (const Item& r : in.items()) {
+    Load size = 0.0;
+    switch (rng() % 4) {
+      case 0:
+      case 1:
+        size = prev_large = next_large;
+        next_large = draw_large();
+        break;
+      case 2:
+        size = near(edge(prev_large));
+        break;
+      default:
+        size = near(edge(next_large));
+        break;
+    }
+    out.add(r.arrival, r.departure, size);
+  }
+  out.finalize();
+  return out;
 }
 
 class SelectionEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -143,23 +204,25 @@ TEST_P(SelectionEquivalence, IndexedMatchesLinearScanOnAlignedInstances) {
   cfg.n = 6;
   const Instance in = workloads::make_aligned_random(cfg, rng);
   for (const ModePair& pair : mode_pairs()) expect_same_run(in, pair);
-  // CDFF is only defined on aligned inputs, so it is checked here.
-  const ModePair cdff{
-      "CDFF",
-      [] { return std::make_unique<algos::Cdff>(); },
-      [] {
-        return std::make_unique<algos::Cdff>(algos::FitRule::kFirst,
-                                             algos::SelectMode::kLinearScan);
-      }};
-  expect_same_run(in, cdff);
-  const ModePair cdbf{
-      "CDBF",
-      [] { return std::make_unique<algos::Cdff>(algos::FitRule::kBest); },
-      [] {
-        return std::make_unique<algos::Cdff>(algos::FitRule::kBest,
-                                             algos::SelectMode::kLinearScan);
-      }};
-  expect_same_run(in, cdbf);
+  for (const ModePair& pair : cdff_pairs()) expect_same_run(in, pair);
+}
+
+TEST_P(SelectionEquivalence, IndexedMatchesLinearScanNearCapacity) {
+  std::mt19937_64 rng(GetParam() + 2000);
+  workloads::GeneralConfig general_cfg;
+  general_cfg.target_items = 220;
+  general_cfg.log2_mu = 6;
+  general_cfg.horizon = 40.0;
+  const Instance general = with_near_capacity_sizes(
+      workloads::make_general_random(general_cfg, rng), rng);
+  for (const ModePair& pair : mode_pairs()) expect_same_run(general, pair);
+
+  workloads::AlignedConfig aligned_cfg;
+  aligned_cfg.max_bucket = 5;
+  aligned_cfg.n = 6;
+  const Instance aligned = with_near_capacity_sizes(
+      workloads::make_aligned_random(aligned_cfg, rng), rng);
+  for (const ModePair& pair : cdff_pairs()) expect_same_run(aligned, pair);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectionEquivalence,
