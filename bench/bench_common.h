@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -140,6 +142,65 @@ inline std::optional<std::vector<double>> run_in_subprocess(
   (void)fn;
   return std::nullopt;
 #endif
+}
+
+/// Median, min and max of repeated measurements of one cell.
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+inline Spread spread(std::vector<double> v) {
+  Spread s;
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  s.median = v.size() % 2 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
+  s.min = v.front();
+  s.max = v.back();
+  return s;
+}
+
+/// Where a bench JSON came from, as JSON object members (no braces):
+/// the checkout's git SHA (suffixed "-dirty" when tracked files differ from
+/// it; "unknown" outside a git checkout), compiler, CMake build type and
+/// hardware thread count. The source directory and build type are baked in
+/// by bench/CMakeLists.txt.
+inline std::string provenance_json() {
+  const auto shell = [](const std::string& cmd) {
+    std::string out;
+#if defined(__unix__) || defined(__APPLE__)
+    if (FILE* pipe = popen(cmd.c_str(), "r")) {
+      char buf[128];
+      while (std::fgets(buf, sizeof buf, pipe)) out += buf;
+      pclose(pipe);
+    }
+#else
+    (void)cmd;
+#endif
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+      out.pop_back();
+    return out;
+  };
+  const std::string git = std::string("git -C '") + CDBP_SOURCE_DIR + "' ";
+  std::string sha = shell(git + "rev-parse --short=12 HEAD 2>/dev/null");
+  if (sha.empty())
+    sha = "unknown";
+  else if (!shell(git + "status --porcelain --untracked-files=no 2>/dev/null")
+                .empty())
+    sha += "-dirty";
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string out = "\"git_sha\": \"";
+  out.append(sha).append("\", \"compiler\": \"").append(compiler);
+  out.append("\", \"build_type\": \"").append(CDBP_BUILD_TYPE);
+  out.append("\", \"cores\": ")
+      .append(std::to_string(std::thread::hardware_concurrency()));
+  return out;
 }
 
 using analysis::SweepPoint;

@@ -151,13 +151,6 @@ bool is_cdbpi_path(const std::string& path) {
          path.compare(path.size() - 6, 6, ".cdbpi") == 0;
 }
 
-LedgerStorage parse_storage(const std::string& s) {
-  if (s == "soa") return LedgerStorage::kSoa;
-  if (s == "reference") return LedgerStorage::kReference;
-  throw std::invalid_argument("unknown storage '" + s +
-                              "' (expected soa|reference)");
-}
-
 /// Reads an instance file of either format by extension.
 Instance read_instance_any(const std::string& path) {
   return is_cdbpi_path(path) ? workloads::read_instance_file(path)
@@ -210,12 +203,12 @@ void print_usage(std::ostream& out) {
       << "  pack-instance --in FILE --out FILE  (.csv <-> .cdbpi by\n"
       << "            extension; exactly one side must be .cdbpi)\n"
       << "  run       --algo ALGO --in FILE [--gantt] [--validate]\n"
-      << "            [--storage soa|reference] [--stream] [--mu-hint M]\n"
+      << "            [--stream] [--mu-hint M]\n"
       << "            [--timeline FILE] [--trace-out FILE]\n"
       << "            [--trace-format chrome|jsonl] [--metrics-out FILE]\n"
       << "            (--stream replays a .cdbpi in O(1) memory)\n"
       << "  sim-sweep --algos A[,B...] --in FILE [--threads T]\n"
-      << "            [--storage soa|reference] [--stream] [--mu-hint M]\n"
+      << "            [--stream] [--mu-hint M]\n"
       << "  trace     --algo ALGO --in FILE --out FILE\n"
       << "            [--format chrome|jsonl] [--metrics-out FILE]\n"
       << "  bounds    --in FILE\n"
@@ -340,8 +333,6 @@ int cmd_run(Flags& flags, std::ostream& out) {
   const bool gantt = flags.get("gantt").has_value();
   const bool validate = flags.get("validate").has_value();
   const bool stream = flags.get("stream").has_value();
-  const LedgerStorage storage =
-      parse_storage(flags.get("storage").value_or("reference"));
   const double mu_hint = std::stod(flags.get("mu-hint").value_or("2"));
   const auto timeline = flags.get("timeline");
   const auto trace_out = flags.get("trace-out");
@@ -363,8 +354,7 @@ int cmd_run(Flags& flags, std::ostream& out) {
     if (metrics_out) obs::MetricsRegistry::global().reset();
     const AlgorithmPtr algo = make_algorithm(algo_name, mu_hint);
     workloads::InstanceFileReader source(path);
-    const Simulator sim{
-        SimulatorOptions{.keep_history = false, .storage = storage}};
+    const Simulator sim{SimulatorOptions{.keep_history = false}};
     const RunResult result = sim.run_source(source, *algo);
     out << algo->name() << ": cost=" << num_exact(result.cost)
         << " bins=" << result.bins_opened << " peak=" << result.max_open
@@ -391,8 +381,7 @@ int cmd_run(Flags& flags, std::ostream& out) {
   } sink_guard{trace_out.has_value()};
 #endif
   const RunResult result =
-      Simulator{SimulatorOptions{.keep_history = true, .storage = storage}}
-          .run(instance, *algo);
+      Simulator{SimulatorOptions{.keep_history = true}}.run(instance, *algo);
 #ifndef CDBP_OBS_OFF
   if (trace_out) {
     obs::Tracer::global().clear_sink();  // finalize the file
@@ -427,13 +416,11 @@ int cmd_run(Flags& flags, std::ostream& out) {
 /// per algorithm sharded across the thread pool. Result lines are
 /// deterministic (task order, %.17g costs); timing/config lines are
 /// '#'-prefixed so CI can `grep -v '^#'` and diff the rest byte-for-byte
-/// between in-RAM and streamed (or soa and reference) runs.
+/// between in-RAM and streamed runs.
 int cmd_sim_sweep(Flags& flags, std::ostream& out) {
   const std::string algos_csv = flags.require("algos");
   const std::string path = flags.require("in");
   const int threads = to_int(flags.get("threads").value_or("0"), "--threads");
-  const LedgerStorage storage =
-      parse_storage(flags.get("storage").value_or("soa"));
   const bool stream = flags.get("stream").has_value();
   const double mu_hint = std::stod(flags.get("mu-hint").value_or("2"));
   flags.finish();
@@ -473,14 +460,13 @@ int cmd_sim_sweep(Flags& flags, std::ostream& out) {
 
   parallel::ShardedSimOptions opts;
   opts.threads = static_cast<std::size_t>(std::max(0, threads));
-  opts.storage = storage;
   const parallel::ShardedSimReport report = parallel::run_sharded(tasks, opts);
 
   for (const parallel::ShardTaskResult& r : report.results)
     out << r.label << ": cost=" << num_exact(r.cost)
         << " bins=" << r.bins_opened << " peak=" << r.max_open
         << " items=" << r.items << "\n";
-  out << "# shards=" << report.shards << " storage=" << to_string(storage)
+  out << "# shards=" << report.shards
       << " input=" << (stream ? "streamed" : "in-ram") << "\n";
   if (report.merged_run_us.count > 0)
     out << "# run-us: p50=" << report.merged_run_us.quantile(0.5)

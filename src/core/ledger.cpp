@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.h"
 
@@ -20,84 +21,96 @@ obs::Counter& g_bins_closed =
 obs::Gauge& g_open_bins =
     obs::MetricsRegistry::global().gauge("ledger.open_bins");
 
-}  // namespace
+// Smallest serialized sizes, used to bound counts read from a checkpoint
+// before anything is reserved: a bin is eight 8-byte fields plus its item
+// list, an item list entry one i64, an active entry (id, bin, size).
+constexpr std::size_t kBinBytes = 8 * 8;
+constexpr std::size_t kItemBytes = 8;
+constexpr std::size_t kActiveBytes = 3 * 8;
 
-const char* to_string(LedgerStorage storage) noexcept {
-  return storage == LedgerStorage::kSoa ? "soa" : "reference";
+[[noreturn]] void bad_state(const char* what) {
+  throw std::runtime_error(std::string("Ledger::load_state: ") + what);
 }
+
+}  // namespace
 
 void Ledger::advance_clock(Time now) {
   if (now < clock_) throw std::logic_error("Ledger: time moved backwards");
   clock_ = now;
 }
 
-BinRecord& Ledger::mutable_record(BinId bin) {
-  if (bin < 0 || static_cast<std::size_t>(bin) >= bins_.size())
-    throw std::out_of_range("Ledger: unknown bin id");
-  return bins_[static_cast<std::size_t>(bin)];
-}
-
-void Ledger::soa_check(BinId bin) const {
-  if (bin < 0 || static_cast<std::size_t>(bin) >= soa_opened_.size())
+void Ledger::check_bin(BinId bin) const {
+  if (bin < 0 || static_cast<std::size_t>(bin) >= opened_.size())
     throw std::out_of_range("Ledger: unknown bin id");
 }
 
-std::uint32_t Ledger::soa_pool_index(PoolId pool) {
+std::uint32_t Ledger::find_or_add_pool(PoolId pool) {
   const auto it = std::lower_bound(
-      soa_pool_ids_.begin(), soa_pool_ids_.end(), pool,
+      pool_ids_.begin(), pool_ids_.end(), pool,
       [](const auto& e, PoolId p) { return e.first < p; });
-  if (it != soa_pool_ids_.end() && it->first == pool) return it->second;
-  const auto idx = static_cast<std::uint32_t>(soa_pools_.size());
-  soa_pools_.emplace_back();
-  soa_pool_ids_.insert(it, {pool, idx});
+  if (it != pool_ids_.end() && it->first == pool) return it->second;
+  const auto idx = static_cast<std::uint32_t>(pools_.size());
+  pools_.emplace_back();
+  pool_ids_.insert(it, {pool, idx});
   return idx;
 }
 
-const BinCapacityIndex* Ledger::soa_pool_find(PoolId pool) const {
+const BinCapacityIndex* Ledger::pool_index(PoolId pool) const {
   const auto it = std::lower_bound(
-      soa_pool_ids_.begin(), soa_pool_ids_.end(), pool,
+      pool_ids_.begin(), pool_ids_.end(), pool,
       [](const auto& e, PoolId p) { return e.first < p; });
-  if (it == soa_pool_ids_.end() || it->first != pool) return nullptr;
-  return &soa_pools_[it->second];
+  if (it == pool_ids_.end() || it->first != pool) return nullptr;
+  return &pools_[it->second];
 }
 
 const BinRecord& Ledger::record(BinId bin) const {
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_check(bin);
-    soa_materialize();
-    return soa_records_[static_cast<std::size_t>(bin)];
-  }
-  if (bin < 0 || static_cast<std::size_t>(bin) >= bins_.size())
-    throw std::out_of_range("Ledger: unknown bin id");
-  return bins_[static_cast<std::size_t>(bin)];
+  check_bin(bin);
+  materialize_records();
+  return records_[static_cast<std::size_t>(bin)];
 }
 
 const std::vector<BinRecord>& Ledger::records() const {
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_materialize();
-    return soa_records_;
-  }
-  return bins_;
+  materialize_records();
+  return records_;
 }
 
-void Ledger::soa_materialize() const {
-  if (soa_records_version_ == soa_version_) return;
-  const std::size_t n = soa_opened_.size();
-  soa_records_.assign(n, BinRecord{});
+void Ledger::items_by_bin(std::vector<std::size_t>& begin,
+                          std::vector<ItemId>& items) const {
+  // Counting sort by bin: a stable partition of the placement log, so each
+  // bin's items keep their placement order.
+  const std::size_t n = opened_.size();
+  begin.assign(n + 1, 0);
+  for (const auto& [item, bin] : placements_)
+    ++begin[static_cast<std::size_t>(bin) + 1];
+  for (std::size_t b = 0; b < n; ++b) begin[b + 1] += begin[b];
+  items.resize(placements_.size());
+  for (const auto& [item, bin] : placements_)
+    items[begin[static_cast<std::size_t>(bin)]++] = item;
+  // The scatter advanced each begin[b] to the end of bin b; shift back.
+  for (std::size_t b = n; b > 0; --b) begin[b] = begin[b - 1];
+  begin[0] = 0;
+}
+
+void Ledger::materialize_records() const {
+  if (records_version_ == version_) return;
+  std::vector<std::size_t> begin;
+  std::vector<ItemId> items;
+  items_by_bin(begin, items);
+  const std::size_t n = opened_.size();
+  records_.assign(n, BinRecord{});
   for (std::size_t i = 0; i < n; ++i) {
-    BinRecord& rec = soa_records_[i];
+    BinRecord& rec = records_[i];
     rec.id = static_cast<BinId>(i);
-    rec.group = soa_group_[i];
-    rec.opened = soa_opened_[i];
-    rec.closed = soa_closed_[i];
-    rec.load = soa_load_[i];
-    rec.active_items = soa_active_count_[i];
+    rec.group = group_[i];
+    rec.opened = opened_[i];
+    rec.closed = closed_[i];
+    rec.load = load_[i];
+    rec.active_items = active_count_[i];
+    rec.all_items.assign(
+        items.begin() + static_cast<std::ptrdiff_t>(begin[i]),
+        items.begin() + static_cast<std::ptrdiff_t>(begin[i + 1]));
   }
-  // Scatter the global placement log: a stable partition by bin, so each
-  // record's all_items keeps its placement order.
-  for (const auto& [item, bin] : soa_placements_)
-    soa_records_[static_cast<std::size_t>(bin)].all_items.push_back(item);
-  soa_records_version_ = soa_version_;
+  records_version_ = version_;
 }
 
 BinId Ledger::open_bin(Time now, BinGroup group) {
@@ -106,29 +119,17 @@ BinId Ledger::open_bin(Time now, BinGroup group) {
 
 BinId Ledger::open_bin(Time now, BinGroup group, PoolId pool) {
   advance_clock(now);
-  BinId id;
-  if (storage_ == LedgerStorage::kSoa) {
-    id = static_cast<BinId>(soa_opened_.size());
-    const std::uint32_t pidx = soa_pool_index(pool);
-    soa_group_.push_back(group);
-    soa_opened_.push_back(now);
-    soa_closed_.push_back(kInfTime);
-    soa_load_.push_back(0.0);
-    soa_active_count_.push_back(0);
-    soa_pool_.push_back(pool);
-    soa_pool_idx_.push_back(pidx);
-    soa_slot_.push_back(
-        static_cast<std::uint32_t>(soa_pools_[pidx].add_bin(id)));
-    ++soa_version_;
-  } else {
-    id = static_cast<BinId>(bins_.size());
-    BinRecord rec;
-    rec.id = id;
-    rec.group = group;
-    rec.opened = now;
-    bins_.push_back(std::move(rec));
-    index_ref_.push_back(IndexRef{pool, pools_[pool].add_bin(id)});
-  }
+  const auto id = static_cast<BinId>(opened_.size());
+  const std::uint32_t pidx = find_or_add_pool(pool);
+  group_.push_back(group);
+  opened_.push_back(now);
+  closed_.push_back(kInfTime);
+  load_.push_back(0.0);
+  active_count_.push_back(0);
+  pool_.push_back(pool);
+  pool_idx_.push_back(pidx);
+  slot_.push_back(static_cast<std::uint32_t>(pools_[pidx].add_bin(id)));
+  ++version_;
   open_.insert(id);
   max_open_ = std::max(max_open_, open_.size());
   g_bins_opened.add();
@@ -138,133 +139,73 @@ BinId Ledger::open_bin(Time now, BinGroup group, PoolId pool) {
 
 void Ledger::place(ItemId id, Load size, BinId bin, Time now) {
   advance_clock(now);
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_check(bin);
-    const auto b = static_cast<std::size_t>(bin);
-    if (soa_closed_[b] != kInfTime)
-      throw std::logic_error("Ledger: place into closed bin");
-    if (!fits_in_bin(soa_load_[b], size))
-      throw std::logic_error("Ledger: bin capacity exceeded");
-    if (!soa_active_.insert(id, bin, size))
-      throw std::logic_error("Ledger: item placed twice");
-    soa_load_[b] += size;
-    soa_active_count_[b] += 1;
-    if (track_items_) soa_placements_.emplace_back(id, bin);
-    soa_pools_[soa_pool_idx_[b]].set_load(soa_slot_[b], soa_load_[b]);
-    ++soa_version_;
-    return;
-  }
-  BinRecord& rec = mutable_record(bin);
-  if (!rec.is_open()) throw std::logic_error("Ledger: place into closed bin");
-  if (!fits_in_bin(rec.load, size))
+  check_bin(bin);
+  const auto b = static_cast<std::size_t>(bin);
+  if (closed_[b] != kInfTime)
+    throw std::logic_error("Ledger: place into closed bin");
+  if (!fits_in_bin(load_[b], size))
     throw std::logic_error("Ledger: bin capacity exceeded");
-  if (active_.contains(id)) throw std::logic_error("Ledger: item placed twice");
-  rec.load += size;
-  rec.active_items += 1;
-  if (track_items_) rec.all_items.push_back(id);
-  active_.emplace(id, ActivePlacement{bin, size});
-
-  const IndexRef& ref = index_ref_[static_cast<std::size_t>(bin)];
-  pools_[ref.pool].set_load(ref.slot, rec.load);
+  if (!active_.insert(id, bin, size))
+    throw std::logic_error("Ledger: item placed twice");
+  load_[b] += size;
+  active_count_[b] += 1;
+  if (track_items_) placements_.emplace_back(id, bin);
+  pools_[pool_idx_[b]].set_load(slot_[b], load_[b]);
+  ++version_;
 }
 
 BinId Ledger::remove(ItemId id, Time now) {
   advance_clock(now);
-  if (storage_ == LedgerStorage::kSoa) {
-    BinId bin = kNoBin;
-    Load size = 0.0;
-    if (!soa_active_.take(id, bin, size))
-      throw std::logic_error("Ledger: removing item that is not placed");
-    const auto b = static_cast<std::size_t>(bin);
-    soa_active_count_[b] -= 1;
-    soa_load_[b] -= size;
-    // Subtraction can leave a negative residue when the removed size was
-    // rounded into the sum differently than it rounds out; clamp it so load
-    // stays a valid Load and fits() never sees a phantom deficit.
-    if (soa_load_[b] < 0.0 && soa_load_[b] >= -kLoadEps) soa_load_[b] = 0.0;
-    if (soa_active_count_[b] == 0) {
-      soa_load_[b] = 0.0;  // clear any floating-point residue
-      soa_closed_[b] = now;
-      closed_usage_ += soa_closed_[b] - soa_opened_[b];
-      open_.erase(bin);
-      soa_pools_[soa_pool_idx_[b]].close(soa_slot_[b]);
-      g_bins_closed.add();
-      g_open_bins.set(static_cast<double>(open_.size()));
-    } else {
-      soa_pools_[soa_pool_idx_[b]].set_load(soa_slot_[b], soa_load_[b]);
-    }
-    ++soa_version_;
-    return bin;
-  }
-  const auto it = active_.find(id);
-  if (it == active_.end())
+  BinId bin = kNoBin;
+  Load size = 0.0;
+  if (!active_.take(id, bin, size))
     throw std::logic_error("Ledger: removing item that is not placed");
-  const auto [bin, size] = it->second;
-  active_.erase(it);
-
-  BinRecord& rec = mutable_record(bin);
-  rec.active_items -= 1;
-  rec.load -= size;
+  const auto b = static_cast<std::size_t>(bin);
+  active_count_[b] -= 1;
+  load_[b] -= size;
   // Subtraction can leave a negative residue when the removed size was
   // rounded into the sum differently than it rounds out; clamp it so load
   // stays a valid Load and fits() never sees a phantom deficit.
-  if (rec.load < 0.0 && rec.load >= -kLoadEps) rec.load = 0.0;
-  const IndexRef& ref = index_ref_[static_cast<std::size_t>(bin)];
-  if (rec.active_items == 0) {
-    rec.load = 0.0;  // clear any floating-point residue
-    rec.closed = now;
-    closed_usage_ += rec.closed - rec.opened;
+  if (load_[b] < 0.0 && load_[b] >= -kLoadEps) load_[b] = 0.0;
+  if (active_count_[b] == 0) {
+    load_[b] = 0.0;  // clear any floating-point residue
+    closed_[b] = now;
+    closed_usage_ += closed_[b] - opened_[b];
     open_.erase(bin);
-    pools_[ref.pool].close(ref.slot);
+    pools_[pool_idx_[b]].close(slot_[b]);
     g_bins_closed.add();
     g_open_bins.set(static_cast<double>(open_.size()));
   } else {
-    pools_[ref.pool].set_load(ref.slot, rec.load);
+    pools_[pool_idx_[b]].set_load(slot_[b], load_[b]);
   }
+  ++version_;
   return bin;
 }
 
 bool Ledger::fits(BinId bin, Load size) const {
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_check(bin);
-    const auto b = static_cast<std::size_t>(bin);
-    return soa_closed_[b] == kInfTime && fits_in_bin(soa_load_[b], size);
-  }
-  const BinRecord& rec = record(bin);
-  return rec.is_open() && fits_in_bin(rec.load, size);
+  check_bin(bin);
+  const auto b = static_cast<std::size_t>(bin);
+  return closed_[b] == kInfTime && fits_in_bin(load_[b], size);
 }
 
 Load Ledger::load(BinId bin) const {
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_check(bin);
-    return soa_load_[static_cast<std::size_t>(bin)];
-  }
-  return record(bin).load;
+  check_bin(bin);
+  return load_[static_cast<std::size_t>(bin)];
 }
 
 BinGroup Ledger::group_of(BinId bin) const {
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_check(bin);
-    return soa_group_[static_cast<std::size_t>(bin)];
-  }
-  return record(bin).group;
+  check_bin(bin);
+  return group_[static_cast<std::size_t>(bin)];
 }
 
 bool Ledger::is_open(BinId bin) const {
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_check(bin);
-    return soa_closed_[static_cast<std::size_t>(bin)] == kInfTime;
-  }
-  return record(bin).is_open();
+  check_bin(bin);
+  return closed_[static_cast<std::size_t>(bin)] == kInfTime;
 }
 
 BinId Ledger::bin_of(ItemId id) const {
-  if (storage_ == LedgerStorage::kSoa) {
-    const FlatItemMap::Slot* slot = soa_active_.find(id);
-    return slot ? slot->bin : kNoBin;
-  }
-  const auto it = active_.find(id);
-  return it == active_.end() ? kNoBin : it->second.bin;
+  const FlatItemMap::Slot* slot = active_.find(id);
+  return slot ? slot->bin : kNoBin;
 }
 
 void Ledger::open_bins_into(std::vector<BinId>& out) const {
@@ -283,20 +224,14 @@ void Ledger::open_bins_in_group_into(BinGroup g,
                                      std::vector<BinId>& out) const {
   out.clear();
   for (BinId b : open_)
-    if (group_of_unchecked(b) == g) out.push_back(b);
+    if (group_[static_cast<std::size_t>(b)] == g) out.push_back(b);
 }
 
 std::size_t Ledger::open_count_in_group(BinGroup g) const {
   std::size_t n = 0;
   for (BinId b : open_)
-    if (group_of_unchecked(b) == g) ++n;
+    if (group_[static_cast<std::size_t>(b)] == g) ++n;
   return n;
-}
-
-const BinCapacityIndex* Ledger::pool_index(PoolId pool) const {
-  if (storage_ == LedgerStorage::kSoa) return soa_pool_find(pool);
-  const auto it = pools_.find(pool);
-  return it == pools_.end() ? nullptr : &it->second;
 }
 
 BinId Ledger::first_fit(PoolId pool, Load size) const {
@@ -341,18 +276,13 @@ std::size_t Ledger::open_count_in_pool(PoolId pool) const {
 }
 
 PoolId Ledger::pool_of(BinId bin) const {
-  if (storage_ == LedgerStorage::kSoa) {
-    soa_check(bin);
-    return soa_pool_[static_cast<std::size_t>(bin)];
-  }
-  if (bin < 0 || static_cast<std::size_t>(bin) >= index_ref_.size())
-    throw std::out_of_range("Ledger: unknown bin id");
-  return index_ref_[static_cast<std::size_t>(bin)].pool;
+  check_bin(bin);
+  return pool_[static_cast<std::size_t>(bin)];
 }
 
 Cost Ledger::total_usage(Time now) const {
   Cost acc = closed_usage_;
-  for (BinId b : open_) acc += now - opened_of(b);
+  for (BinId b : open_) acc += now - opened_[static_cast<std::size_t>(b)];
   return acc;
 }
 
@@ -364,14 +294,8 @@ std::vector<ItemId> Ledger::active_item_ids() const {
 
 void Ledger::active_item_ids_into(std::vector<ItemId>& out) const {
   out.clear();
-  if (storage_ == LedgerStorage::kSoa) {
-    out.reserve(soa_active_.size());
-    soa_active_.for_each(
-        [&](const FlatItemMap::Slot& s) { out.push_back(s.id); });
-  } else {
-    out.reserve(active_.size());
-    for (const auto& [id, placement] : active_) out.push_back(id);
-  }
+  out.reserve(active_.size());
+  active_.for_each([&](const FlatItemMap::Slot& s) { out.push_back(s.id); });
   std::sort(out.begin(), out.end());
 }
 
@@ -379,47 +303,31 @@ void Ledger::save_state(StateWriter& w) const {
   if (!track_items_)
     throw std::logic_error(
         "Ledger::save_state: item tracking is disabled (track_items=false)");
-  // Both backends serialize through the same logical-record loop, so the
-  // buffers are byte-identical regardless of the in-memory layout.
-  const std::vector<BinRecord>& recs = records();
-  const auto pool_of_bin = [&](std::size_t i) {
-    return storage_ == LedgerStorage::kSoa ? soa_pool_[i] : index_ref_[i].pool;
-  };
-  const auto slot_of_bin = [&](std::size_t i) {
-    return storage_ == LedgerStorage::kSoa
-               ? static_cast<std::uint64_t>(soa_slot_[i])
-               : static_cast<std::uint64_t>(index_ref_[i].slot);
-  };
-  w.u64(recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const BinRecord& rec = recs[i];
-    w.i64(rec.group);
-    w.f64(rec.opened);
-    w.f64(rec.closed);
-    w.f64(rec.load);
-    w.u64(rec.active_items);
-    w.u64(rec.all_items.size());
-    for (ItemId item : rec.all_items) w.i64(item);
-    w.i64(pool_of_bin(i));
-    w.u64(slot_of_bin(i));
+  // Transient bin-major view of the placement log; freed on return, so a
+  // checkpoint leaves no second copy of the history resident.
+  std::vector<std::size_t> begin;
+  std::vector<ItemId> items;
+  items_by_bin(begin, items);
+  const std::size_t n = opened_.size();
+  w.u64(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.i64(group_[i]);
+    w.f64(opened_[i]);
+    w.f64(closed_[i]);
+    w.f64(load_[i]);
+    w.u64(active_count_[i]);
+    w.u64(begin[i + 1] - begin[i]);
+    for (std::size_t k = begin[i]; k < begin[i + 1]; ++k) w.i64(items[k]);
+    w.i64(pool_[i]);
+    w.u64(slot_[i]);
   }
   const std::vector<ItemId> active = active_item_ids();
   w.u64(active.size());
   for (ItemId id : active) {
-    BinId bin;
-    Load size;
-    if (storage_ == LedgerStorage::kSoa) {
-      const FlatItemMap::Slot* slot = soa_active_.find(id);
-      bin = slot->bin;
-      size = slot->size;
-    } else {
-      const ActivePlacement& p = active_.at(id);
-      bin = p.bin;
-      size = p.size;
-    }
+    const FlatItemMap::Slot* slot = active_.find(id);
     w.i64(id);
-    w.i64(bin);
-    w.f64(size);
+    w.i64(slot->bin);
+    w.f64(slot->size);
   }
   w.f64(closed_usage_);
   w.u64(max_open_);
@@ -432,104 +340,89 @@ void Ledger::load_state(StateReader& r) {
   if (!track_items_)
     throw std::logic_error(
         "Ledger::load_state: item tracking is disabled (track_items=false)");
-  const bool soa = storage_ == LedgerStorage::kSoa;
   const std::uint64_t n_bins = r.u64();
-  if (soa) {
-    soa_group_.reserve(n_bins);
-    soa_opened_.reserve(n_bins);
-    soa_closed_.reserve(n_bins);
-    soa_load_.reserve(n_bins);
-    soa_active_count_.reserve(n_bins);
-    soa_pool_.reserve(n_bins);
-    soa_pool_idx_.reserve(n_bins);
-    soa_slot_.reserve(n_bins);
-  } else {
-    bins_.reserve(n_bins);
-    index_ref_.reserve(n_bins);
-  }
+  if (n_bins > r.remaining() / kBinBytes)
+    bad_state("bin count exceeds the buffer");
+  group_.reserve(n_bins);
+  opened_.reserve(n_bins);
+  closed_.reserve(n_bins);
+  load_.reserve(n_bins);
+  active_count_.reserve(n_bins);
+  pool_.reserve(n_bins);
+  pool_idx_.reserve(n_bins);
+  slot_.reserve(n_bins);
   for (std::uint64_t i = 0; i < n_bins; ++i) {
-    BinRecord rec;
-    rec.id = static_cast<BinId>(i);
-    rec.group = r.i64();
-    rec.opened = r.f64();
-    rec.closed = r.f64();
-    rec.load = r.f64();
-    rec.active_items = r.u64();
+    const auto id = static_cast<BinId>(i);
+    const BinGroup group = r.i64();
+    const Time opened = r.f64();
+    const Time closed = r.f64();
+    const Load load = r.f64();
+    const std::uint64_t active_count = r.u64();
     const std::uint64_t n_items = r.u64();
-    rec.all_items.reserve(n_items);
+    if (n_items > r.remaining() / kItemBytes)
+      bad_state("item count exceeds the buffer");
+    // Bounds the count to the bin's placements, so it fits its column.
+    if (active_count > n_items)
+      bad_state("bin has more active items than it ever held");
+    // Bin-major replay of the placement log preserves each bin's item
+    // order, which is all items_by_bin observes.
     for (std::uint64_t k = 0; k < n_items; ++k)
-      rec.all_items.push_back(r.i64());
+      placements_.emplace_back(r.i64(), id);
     const PoolId pool = r.i64();
     const std::uint64_t slot = r.u64();
     // Bins are replayed in id order, which within a pool is opening order,
     // so the capacity index hands out the same slots it originally did and
     // ends up value-identical (same leaves, same (load, bin) set, same
     // tournament shape) to the uninterrupted index.
-    std::size_t got;
-    if (soa) {
-      const std::uint32_t pidx = soa_pool_index(pool);
-      got = soa_pools_[pidx].add_bin(rec.id);
-      if (got != slot)
-        throw std::runtime_error("Ledger::load_state: slot mismatch");
-      if (rec.is_open()) {
-        open_.insert(rec.id);
-        soa_pools_[pidx].set_load(got, rec.load);
-      } else {
-        soa_pools_[pidx].close(got);
-      }
-      soa_group_.push_back(rec.group);
-      soa_opened_.push_back(rec.opened);
-      soa_closed_.push_back(rec.closed);
-      soa_load_.push_back(rec.load);
-      soa_active_count_.push_back(
-          static_cast<std::uint32_t>(rec.active_items));
-      soa_pool_.push_back(pool);
-      soa_pool_idx_.push_back(pidx);
-      soa_slot_.push_back(static_cast<std::uint32_t>(got));
-      // Bin-major replay of the placement log preserves each bin's item
-      // order, which is all save_state's partition observes.
-      for (ItemId item : rec.all_items) soa_placements_.emplace_back(item, rec.id);
-      ++soa_version_;
+    const std::uint32_t pidx = find_or_add_pool(pool);
+    const std::size_t got = pools_[pidx].add_bin(id);
+    if (got != slot) bad_state("slot mismatch");
+    if (closed == kInfTime) {
+      open_.insert(id);
+      pools_[pidx].set_load(got, load);
     } else {
-      got = pools_[pool].add_bin(rec.id);
-      if (got != slot)
-        throw std::runtime_error("Ledger::load_state: slot mismatch");
-      if (rec.is_open()) {
-        open_.insert(rec.id);
-        pools_[pool].set_load(got, rec.load);
-      } else {
-        pools_[pool].close(got);
-      }
-      index_ref_.push_back(IndexRef{pool, got});
-      bins_.push_back(std::move(rec));
+      pools_[pidx].close(got);
     }
+    group_.push_back(group);
+    opened_.push_back(opened);
+    closed_.push_back(closed);
+    load_.push_back(load);
+    active_count_.push_back(static_cast<std::uint32_t>(active_count));
+    pool_.push_back(pool);
+    pool_idx_.push_back(pidx);
+    slot_.push_back(static_cast<std::uint32_t>(got));
   }
   const std::uint64_t n_active = r.u64();
+  if (n_active > r.remaining() / kActiveBytes)
+    bad_state("active item count exceeds the buffer");
+  // Every active entry must sit in an open bin, once, and each bin's
+  // active count must equal its number of entries: remove() trusts all
+  // three when it indexes the columns.
+  std::vector<std::uint32_t> seen(opened_.size(), 0);
   for (std::uint64_t i = 0; i < n_active; ++i) {
     const ItemId id = r.i64();
     const BinId bin = r.i64();
     const Load size = r.f64();
-    if (soa)
-      soa_active_.insert(id, bin, size);
-    else
-      active_.emplace(id, ActivePlacement{bin, size});
+    if (bin < 0 || static_cast<std::size_t>(bin) >= opened_.size() ||
+        closed_[static_cast<std::size_t>(bin)] != kInfTime)
+      bad_state("active item in an unknown or closed bin");
+    if (id == FlatItemMap::kEmptyKey || !active_.insert(id, bin, size))
+      bad_state("active item id reserved or duplicated");
+    ++seen[static_cast<std::size_t>(bin)];
   }
+  if (seen != active_count_)
+    bad_state("per-bin active counts disagree with the active items");
   closed_usage_ = r.f64();
   max_open_ = r.u64();
   clock_ = r.f64();
+  ++version_;
   g_open_bins.set(static_cast<double>(open_.size()));
 }
 
 StepFunction Ledger::open_bins_profile(Time now) const {
   StepFunction f;
-  if (storage_ == LedgerStorage::kSoa) {
-    for (std::size_t i = 0; i < soa_opened_.size(); ++i)
-      f.add(soa_opened_[i],
-            soa_closed_[i] == kInfTime ? now : soa_closed_[i], 1.0);
-    return f;
-  }
-  for (const BinRecord& rec : bins_)
-    f.add(rec.opened, rec.is_open() ? now : rec.closed, 1.0);
+  for (std::size_t i = 0; i < opened_.size(); ++i)
+    f.add(opened_[i], closed_[i] == kInfTime ? now : closed_[i], 1.0);
   return f;
 }
 

@@ -5,26 +5,18 @@
 // Bins close automatically when their last item departs and are never
 // reused (w.l.o.g. per paper §2).
 //
-// Two storage backends sit behind one API (see docs/ALGORITHMS.md):
-//
-//  * LedgerStorage::kReference — the original layout: one BinRecord struct
-//    per bin plus a node-based hash map of active items. Kept verbatim as
-//    the bit-identical oracle the equivalence tests compare against.
-//  * LedgerStorage::kSoa — structure-of-arrays: bin opened/closed/load/
-//    group/pool state in parallel flat columns, active items in a flat
-//    open-addressing map (core/flat_item_map.h), placements in one
-//    append-only log. Cache-dense and allocation-free per item on the hot
-//    path; memory is O(bins) + O(peak active items), which is what lets a
-//    streamed 1e7-item run fit in a fraction of the in-RAM footprint.
-//
-// Both backends execute the same floating-point operations in the same
-// order, so costs, loads, and serialized checkpoints are bit-identical —
-// locked in by the StorageEquivalence test matrix.
+// Storage is structure-of-arrays (see docs/ALGORITHMS.md): bin
+// opened/closed/load/group/pool state in parallel flat columns indexed by
+// BinId, active items in a flat open-addressing map (core/flat_item_map.h),
+// placements in one append-only log. Cache-dense and allocation-free per
+// item on the hot path; memory is O(bins) + O(peak active items), which is
+// what lets a streamed 1e7-item run fit in a fraction of the in-RAM
+// footprint. The original one-struct-per-bin layout lives on as a test-only
+// oracle (tests/oracles/reference_ledger.h) that must agree bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "core/bin_index.h"
@@ -44,14 +36,6 @@ using BinGroup = std::int64_t;
 /// Defaults to the bin's group; algorithms that need finer selection pools
 /// than their reporting groups (HA's per-type CD bins) pass one explicitly.
 using PoolId = std::int64_t;
-
-/// Which in-memory layout a Ledger uses. Same API, same bit-exact results.
-enum class LedgerStorage : std::uint8_t {
-  kReference,  ///< original AoS layout; the equivalence oracle
-  kSoa,        ///< flat columns + flat active-item map; the fast data plane
-};
-
-[[nodiscard]] const char* to_string(LedgerStorage storage) noexcept;
 
 /// Immutable record of one bin's life, available after (or during) a run.
 struct BinRecord {
@@ -78,10 +62,8 @@ class Ledger {
   /// `track_items = false` drops the per-item placement log (all_items in
   /// records() stays empty and save_state refuses): throughput mode for
   /// multi-million-item runs that only need costs.
-  explicit Ledger(LedgerStorage storage, bool track_items = true)
-      : storage_(storage), track_items_(track_items) {}
+  explicit Ledger(bool track_items) : track_items_(track_items) {}
 
-  [[nodiscard]] LedgerStorage storage() const noexcept { return storage_; }
   [[nodiscard]] bool tracks_items() const noexcept { return track_items_; }
 
   /// Opens a new bin; returns its id (ids are dense and increase with time,
@@ -156,7 +138,7 @@ class Ledger {
 
   /// Number of bins ever opened.
   [[nodiscard]] std::size_t bins_opened() const noexcept {
-    return storage_ == LedgerStorage::kSoa ? soa_opened_.size() : bins_.size();
+    return opened_.size();
   }
 
   /// Peak number of simultaneously open bins.
@@ -164,12 +146,11 @@ class Ledger {
 
   /// Number of currently placed (active) items.
   [[nodiscard]] std::size_t active_items() const noexcept {
-    return storage_ == LedgerStorage::kSoa ? soa_active_.size()
-                                           : active_.size();
+    return active_.size();
   }
 
-  /// Full record of bin `bin` (any bin ever opened). In SoA mode records
-  /// are materialized from the columns on demand (reporting path); the
+  /// Full record of bin `bin` (any bin ever opened). Records are
+  /// materialized from the columns on demand (reporting path); the
   /// returned reference stays valid until the next mutation.
   [[nodiscard]] const BinRecord& record(BinId bin) const;
   [[nodiscard]] const std::vector<BinRecord>& records() const;
@@ -188,82 +169,60 @@ class Ledger {
   void active_item_ids_into(std::vector<ItemId>& out) const;
 
   /// Serializes the complete ledger state (bit-exact loads and usage
-  /// accumulators). Both storage backends write byte-identical buffers, and
-  /// either backend can restore a buffer the other wrote. `load_state`
-  /// restores into a *fresh* ledger (throws std::logic_error otherwise),
-  /// rebuilding the per-pool capacity indexes so that every subsequent
-  /// first/best/worst-fit query answers exactly as it would have on the
-  /// uninterrupted ledger. Requires item tracking (throws otherwise).
+  /// accumulators) straight from the columns; nothing stays cached after
+  /// the call. `load_state` restores into a *fresh* ledger (throws
+  /// std::logic_error otherwise), rebuilding the per-pool capacity indexes
+  /// so that every subsequent first/best/worst-fit query answers exactly as
+  /// it would have on the uninterrupted ledger. It throws
+  /// std::runtime_error on a buffer whose contents are inconsistent (an
+  /// active item in an unknown or closed bin, a duplicated or reserved
+  /// item id, per-bin active counts that disagree with the active items, a
+  /// count larger than the buffer can hold), so a checkpoint with a valid
+  /// CRC but bad contents cannot corrupt the ledger. Both require item
+  /// tracking (throw otherwise).
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
  private:
   void advance_clock(Time now);
-  BinRecord& mutable_record(BinId bin);
-
-  struct ActivePlacement {
-    BinId bin;
-    Load size;
-  };
-
-  /// Where a bin lives inside the capacity indexes.
-  struct IndexRef {
-    PoolId pool = 0;
-    std::size_t slot = 0;
-  };
+  void check_bin(BinId bin) const;
+  /// Dense index of `pool` in pools_, adding an empty index if new.
+  [[nodiscard]] std::uint32_t find_or_add_pool(PoolId pool);
   [[nodiscard]] const BinCapacityIndex* pool_index(PoolId pool) const;
+  /// Per-bin item lists, bin-major: bin b's items, in placement order, are
+  /// items[begin[b] .. begin[b + 1]). One counting-sort pass over the
+  /// placement log into caller-owned buffers.
+  void items_by_bin(std::vector<std::size_t>& begin,
+                    std::vector<ItemId>& items) const;
+  void materialize_records() const;
 
-  // SoA helpers.
-  void soa_check(BinId bin) const;
-  [[nodiscard]] std::uint32_t soa_pool_index(PoolId pool);  // find-or-create
-  [[nodiscard]] const BinCapacityIndex* soa_pool_find(PoolId pool) const;
-  void soa_materialize() const;
-  [[nodiscard]] Time opened_of(BinId bin) const noexcept {
-    return storage_ == LedgerStorage::kSoa
-               ? soa_opened_[static_cast<std::size_t>(bin)]
-               : bins_[static_cast<std::size_t>(bin)].opened;
-  }
-  [[nodiscard]] BinGroup group_of_unchecked(BinId bin) const noexcept {
-    return storage_ == LedgerStorage::kSoa
-               ? soa_group_[static_cast<std::size_t>(bin)]
-               : bins_[static_cast<std::size_t>(bin)].group;
-  }
-
-  LedgerStorage storage_ = LedgerStorage::kReference;
   bool track_items_ = true;
 
-  // --- Shared across backends (per-bin, not per-item, so cheap) ----------
   std::set<BinId> open_;
   Cost closed_usage_ = 0.0;
   std::size_t max_open_ = 0;
   Time clock_ = -kInfTime;
 
-  // --- kReference backend ------------------------------------------------
-  std::vector<BinRecord> bins_;
-  std::vector<IndexRef> index_ref_;  // parallel to bins_
-  std::unordered_map<PoolId, BinCapacityIndex> pools_;
-  std::unordered_map<ItemId, ActivePlacement> active_;
-
-  // --- kSoa backend: one column per BinRecord field, indexed by BinId ----
-  std::vector<BinGroup> soa_group_;
-  std::vector<Time> soa_opened_;
-  std::vector<Time> soa_closed_;
-  std::vector<Load> soa_load_;
-  std::vector<std::uint32_t> soa_active_count_;
-  std::vector<PoolId> soa_pool_;            // pool id of each bin
-  std::vector<std::uint32_t> soa_pool_idx_; // dense index into soa_pools_
-  std::vector<std::uint32_t> soa_slot_;     // slot inside its pool's index
-  std::vector<BinCapacityIndex> soa_pools_;
-  std::vector<std::pair<PoolId, std::uint32_t>> soa_pool_ids_;  // sorted
-  FlatItemMap soa_active_;
+  // --- One column per BinRecord field, indexed by BinId -------------------
+  std::vector<BinGroup> group_;
+  std::vector<Time> opened_;
+  std::vector<Time> closed_;
+  std::vector<Load> load_;
+  std::vector<std::uint32_t> active_count_;
+  std::vector<PoolId> pool_;             // pool id of each bin
+  std::vector<std::uint32_t> pool_idx_;  // dense index into pools_
+  std::vector<std::uint32_t> slot_;      // slot inside its pool's index
+  std::vector<BinCapacityIndex> pools_;
+  std::vector<std::pair<PoolId, std::uint32_t>> pool_ids_;  // sorted
+  FlatItemMap active_;
   /// Append-only (item, bin) log in placement order; per-bin item lists are
-  /// a stable partition of it (see soa_materialize). Empty when
-  /// track_items_ is false.
-  std::vector<std::pair<ItemId, BinId>> soa_placements_;
-  // Lazily materialized BinRecord view for record()/records()/save_state.
-  mutable std::vector<BinRecord> soa_records_;
-  mutable std::uint64_t soa_records_version_ = ~std::uint64_t{0};
-  std::uint64_t soa_version_ = 0;
+  /// a stable partition of it (see items_by_bin). Empty when track_items_
+  /// is false.
+  std::vector<std::pair<ItemId, BinId>> placements_;
+  // Lazily materialized BinRecord view for record()/records().
+  mutable std::vector<BinRecord> records_;
+  mutable std::uint64_t records_version_ = ~std::uint64_t{0};
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace cdbp

@@ -78,6 +78,11 @@ void InteractiveSession::load_state(StateReader& r) {
     throw std::logic_error("InteractiveSession::load_state: session not fresh");
   clock_ = r.f64();
   const std::uint64_t n = r.u64();
+  // Three f64 per item: a count the buffer cannot hold is rejected before
+  // it sizes an allocation.
+  if (n > r.remaining() / (3 * 8))
+    throw std::runtime_error(
+        "InteractiveSession::load_state: item count exceeds the buffer");
   offered_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Item item;
@@ -92,8 +97,12 @@ void InteractiveSession::load_state(StateReader& r) {
   // pops every departure <= clock_ before an offer completes, so each
   // pending departure belongs to an active placement and vice versa.
   ledger_.active_item_ids_into(active_scratch_);
-  for (ItemId id : active_scratch_)
+  for (ItemId id : active_scratch_) {
+    if (id < 0 || static_cast<std::uint64_t>(id) >= n)
+      throw std::runtime_error(
+          "InteractiveSession::load_state: active item was never offered");
     dq_.push(Departure{offered_[static_cast<std::size_t>(id)].departure, id});
+  }
 }
 
 }  // namespace cdbp

@@ -54,7 +54,9 @@ class InteractiveSession {
   /// `load_state` restores into a freshly constructed session (throws
   /// std::logic_error otherwise) and rebuilds the departure queue from the
   /// ledger's active items, after which the session continues
-  /// bit-identically with the one that was saved.
+  /// bit-identically with the one that was saved. A buffer whose contents
+  /// are inconsistent (see Ledger::load_state; also an active item id that
+  /// was never offered) throws std::runtime_error.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 

@@ -35,7 +35,7 @@ template <typename NextFn>
 RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
                          std::size_t size_hint, Algorithm& algo) {
   algo.reset();
-  Ledger ledger(opts.storage, /*track_items=*/opts.keep_history);
+  Ledger ledger(/*track_items=*/opts.keep_history);
 
   obs::Tracer& tracer = obs::Tracer::global();
 

@@ -41,8 +41,6 @@ struct SimulatorOptions {
   /// the result (and have the ledger track per-item placements). Disable
   /// for throughput benchmarks on multi-million-item instances.
   bool keep_history = true;
-  /// Ledger backend; identical costs/placements either way (see ledger.h).
-  LedgerStorage storage = LedgerStorage::kReference;
 };
 
 class Simulator {

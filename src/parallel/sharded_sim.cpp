@@ -58,8 +58,7 @@ ShardedSimReport run_sharded(const std::vector<ShardTask>& tasks,
                              const ShardedSimOptions& opts) {
   ThreadPool pool(opts.threads);
   const std::size_t shards = pool.thread_count();
-  const Simulator sim{SimulatorOptions{.keep_history = opts.keep_history,
-                                       .storage = opts.storage}};
+  const Simulator sim{SimulatorOptions{.keep_history = opts.keep_history}};
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
 

@@ -57,9 +57,6 @@ struct ShardTaskResult {
 
 struct ShardedSimOptions {
   std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// Backend for every task's ledger. SoA is the throughput default; the
-  /// results are bit-identical either way.
-  LedgerStorage storage = LedgerStorage::kSoa;
   bool keep_history = false;  ///< per-bin records are rarely wanted at scale
 };
 

@@ -535,14 +535,9 @@ TEST(Cli, RunStreamMatchesInRamRun) {
                 .code,
             0);
 
-  const CliRun streamed = cli({"run", "--algo", "ff", "--in", packed,
-                               "--stream", "--storage", "soa"});
+  const CliRun streamed =
+      cli({"run", "--algo", "ff", "--in", packed, "--stream"});
   ASSERT_EQ(streamed.code, 0) << streamed.err;
-  const CliRun streamed_ref = cli({"run", "--algo", "ff", "--in", packed,
-                                   "--stream", "--storage", "reference"});
-  ASSERT_EQ(streamed_ref.code, 0) << streamed_ref.err;
-  // Backend choice changes nothing observable.
-  EXPECT_EQ(streamed.out, streamed_ref.out);
   EXPECT_NE(streamed.out.find("items=120"), std::string::npos)
       << streamed.out;
 
@@ -584,18 +579,19 @@ TEST(Cli, SimSweepDeterministicAcrossBackendsAndStreaming) {
     return kept;
   };
 
-  const CliRun in_ram = cli({"sim-sweep", "--algos", "ff,bf,wf", "--in", csv,
-                             "--threads", "2", "--storage", "reference"});
+  const CliRun in_ram = cli(
+      {"sim-sweep", "--algos", "ff,bf,wf", "--in", csv, "--threads", "2"});
   ASSERT_EQ(in_ram.code, 0) << in_ram.err;
   const CliRun streamed =
       cli({"sim-sweep", "--algos", "ff,bf,wf", "--in", packed, "--threads",
-           "2", "--storage", "soa", "--stream"});
+           "2", "--stream"});
   ASSERT_EQ(streamed.code, 0) << streamed.err;
 
   EXPECT_EQ(payload(streamed.out), payload(in_ram.out));
   EXPECT_NE(in_ram.out.find("ff: cost="), std::string::npos) << in_ram.out;
-  EXPECT_NE(streamed.out.find("# shards=2 storage=soa input=streamed"),
-            std::string::npos)
+  EXPECT_NE(in_ram.out.find("# shards=2 input=in-ram"), std::string::npos)
+      << in_ram.out;
+  EXPECT_NE(streamed.out.find("# shards=2 input=streamed"), std::string::npos)
       << streamed.out;
 
   EXPECT_EQ(cli({"sim-sweep", "--algos", ",", "--in", csv}).code, 1);
@@ -603,6 +599,24 @@ TEST(Cli, SimSweepDeterministicAcrossBackendsAndStreaming) {
             1);
 
   std::remove(csv.c_str());
+  std::remove(packed.c_str());
+}
+
+TEST(Cli, StorageFlagIsRejected) {
+  // The ledger has one layout; the retired backend switch is an unknown
+  // flag on both commands that used to take it.
+  const std::string packed = temp_file("cdbp_cli_storage.cdbpi");
+  ASSERT_EQ(cli({"generate", "--kind", "general", "--n", "5", "--items",
+                 "20", "--out", packed})
+                .code,
+            0);
+  for (const std::string cmd : {"run", "sim-sweep"}) {
+    const CliRun r = cli({cmd, cmd == "run" ? "--algo" : "--algos", "ff",
+                          "--in", packed, "--storage", "soa"});
+    EXPECT_EQ(r.code, 1) << cmd;
+    EXPECT_NE(r.err.find("unknown flag --storage"), std::string::npos)
+        << cmd << ": " << r.err;
+  }
   std::remove(packed.c_str());
 }
 

@@ -3,12 +3,17 @@
 //    identical costs/placements for every algorithm on the same stream;
 //  * indexed bin selection (capacity index) must reproduce the seed
 //    linear-scan selection bit for bit, placement by placement;
+//  * the column-store Ledger must reproduce the AoS ReferenceLedger oracle
+//    bit for bit, event by event;
 //  * OPT bounds are invariant under same-instant presentation reordering
 //    (they depend on the multiset of items only);
 //  * shifting an instance in time shifts nothing but timestamps.
 #include <algorithm>
 #include <cmath>
+#include <queue>
 #include <random>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +22,7 @@
 #include "algos/hybrid.h"
 #include "core/session.h"
 #include "core/simulator.h"
+#include "oracles/reference_ledger.h"
 #include "opt/bounds.h"
 #include "opt/repack.h"
 #include "test_util.h"
@@ -228,42 +234,88 @@ TEST_P(SelectionEquivalence, IndexedMatchesLinearScanNearCapacity) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectionEquivalence,
                          ::testing::Range<std::uint64_t>(0, 18));
 
-// --- SoA storage vs the reference AoS ledger layout ------------------------
+// --- The column-store Ledger vs the AoS ReferenceLedger oracle -------------
 //
-// LedgerStorage::kSoa must be a pure data-layout change: every algorithm
-// must produce bitwise-identical costs, the same placements, and the same
-// per-bin records whether the ledger stores BinRecord structs or flat
-// columns. Exercised on the same seed matrix as SelectionEquivalence, with
-// both ledgers driven through the default (indexed) selection mode.
+// Every algorithm runs through an InteractiveSession, and every ledger
+// operation it causes is mirrored into the oracle: bins opened with the
+// same group and pool, each placement, and each removal in the session's
+// (departure, id) drain order. total_usage must agree after every event,
+// and records and checkpoint bytes at the midpoint and at the end. All
+// comparisons are bitwise: the two layouts must perform the identical FP
+// ops in the identical order.
+
+void expect_same_checkpoint(const Ledger& ledger,
+                            const oracles::ReferenceLedger& ref,
+                            const std::string& where) {
+  StateWriter wl, wr;
+  ledger.save_state(wl);
+  ref.save_state(wr);
+  EXPECT_EQ(wl.buffer(), wr.buffer()) << where;
+}
 
 void expect_same_storage_run(const Instance& in,
                              const testutil::NamedFactory& f) {
-  auto ref_algo = f.make();
-  auto soa_algo = f.make();
-  const RunResult ref =
-      Simulator{SimulatorOptions{.storage = LedgerStorage::kReference}}.run(
-          in, *ref_algo);
-  const RunResult soa =
-      Simulator{SimulatorOptions{.storage = LedgerStorage::kSoa}}.run(
-          in, *soa_algo);
-  // Bitwise, not NEAR: the SoA backend performs the identical FP ops in
-  // the identical order.
-  EXPECT_EQ(ref.cost, soa.cost) << f.name;
-  EXPECT_EQ(ref.bins_opened, soa.bins_opened) << f.name;
-  EXPECT_EQ(ref.max_open, soa.max_open) << f.name;
-  ASSERT_EQ(ref.placements.size(), soa.placements.size()) << f.name;
-  for (std::size_t k = 0; k < ref.placements.size(); ++k)
-    ASSERT_EQ(ref.placements[k].bin, soa.placements[k].bin)
+  auto algo = f.make();
+  InteractiveSession session(*algo);
+  const Ledger& ledger = session.ledger();
+  oracles::ReferenceLedger ref;
+
+  // (departure, id) min-heap: the session's drain order.
+  using Pending = std::pair<Time, ItemId>;
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> pending;
+  // Drains every departure at times <= t, one departure time at a time.
+  const auto drain = [&](Time t) {
+    while (!pending.empty() && pending.top().first <= t) {
+      const Time d = pending.top().first;
+      session.advance_to(d);
+      for (; !pending.empty() && pending.top().first == d; pending.pop())
+        ref.remove(pending.top().second, d);
+      ASSERT_EQ(ledger.total_usage(d), ref.total_usage(d)) << f.name;
+    }
+  };
+
+  const std::vector<Item>& items = in.items();
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const Item& item = items[k];
+    drain(item.arrival);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    const BinId bin = session.offer(item.arrival, item.departure, item.size);
+    const auto id = static_cast<ItemId>(k);
+    for (auto b = static_cast<BinId>(ref.bins_opened());
+         b < static_cast<BinId>(ledger.bins_opened()); ++b)
+      ASSERT_EQ(ref.open_bin(item.arrival, ledger.group_of(b),
+                             ledger.pool_of(b)),
+                b)
+          << f.name;
+    ref.place(id, item.size, bin, item.arrival);
+    pending.emplace(item.departure, id);
+    ASSERT_EQ(ledger.total_usage(item.arrival), ref.total_usage(item.arrival))
         << f.name << " item " << k;
-  ASSERT_EQ(ref.bins.size(), soa.bins.size()) << f.name;
-  for (std::size_t b = 0; b < ref.bins.size(); ++b) {
-    EXPECT_EQ(ref.bins[b].group, soa.bins[b].group) << f.name << " bin " << b;
-    EXPECT_EQ(ref.bins[b].opened, soa.bins[b].opened) << f.name << " bin " << b;
-    EXPECT_EQ(ref.bins[b].closed, soa.bins[b].closed) << f.name << " bin " << b;
-    EXPECT_EQ(ref.bins[b].load, soa.bins[b].load) << f.name << " bin " << b;
-    EXPECT_EQ(ref.bins[b].all_items, soa.bins[b].all_items)
-        << f.name << " bin " << b;
+    if (k == items.size() / 2)
+      expect_same_checkpoint(ledger, ref, f.name + " mid-run");
   }
+  drain(kInfTime);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  const Cost cost = session.finish();
+  EXPECT_EQ(cost, ref.total_usage(ledger.clock())) << f.name;
+  EXPECT_EQ(ledger.max_open(), ref.max_open()) << f.name;
+
+  ASSERT_EQ(ledger.records().size(), ref.records().size()) << f.name;
+  for (std::size_t b = 0; b < ref.records().size(); ++b) {
+    const BinRecord& got = ledger.records()[b];
+    const BinRecord& want = ref.records()[b];
+    EXPECT_EQ(got.group, want.group) << f.name << " bin " << b;
+    EXPECT_EQ(got.opened, want.opened) << f.name << " bin " << b;
+    EXPECT_EQ(got.closed, want.closed) << f.name << " bin " << b;
+    EXPECT_EQ(got.load, want.load) << f.name << " bin " << b;
+    EXPECT_EQ(got.active_items, want.active_items) << f.name << " bin " << b;
+    EXPECT_EQ(got.all_items, want.all_items) << f.name << " bin " << b;
+  }
+  expect_same_checkpoint(ledger, ref, f.name + " end");
+
+  // The batch Simulator runs the same ledger to the same cost.
+  auto batch_algo = f.make();
+  EXPECT_EQ(Simulator{}.run(in, *batch_algo).cost, cost) << f.name;
 }
 
 class StorageEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

@@ -46,8 +46,7 @@ TEST(ShardedSim, MatchesSequentialRunsInTaskOrder) {
   ASSERT_EQ(report.results.size(), tasks.size());
   EXPECT_EQ(report.shards, 3u);
 
-  const Simulator sim{SimulatorOptions{.keep_history = false,
-                                       .storage = LedgerStorage::kSoa}};
+  const Simulator sim{SimulatorOptions{.keep_history = false}};
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const auto algo = tasks[i].make();
     const RunResult want = sim.run(*tasks[i].instance, *algo);
@@ -83,24 +82,22 @@ TEST(ShardedSim, StreamedTaskMatchesInRamTask) {
   EXPECT_EQ(report.results[0].items, report.results[1].items);
 }
 
-TEST(ShardedSim, StorageBackendsAgree) {
+TEST(ShardedSim, EveryAlgorithmMatchesSequentialRun) {
   const Instance in = make_test_instance(4);
   std::vector<ShardTask> tasks;
   for (const auto& f : testutil::online_factories())
     tasks.push_back({f.name, f.make, &in, {}});
 
-  ShardedSimOptions soa;
-  soa.threads = 2;
-  soa.storage = LedgerStorage::kSoa;
-  ShardedSimOptions ref = soa;
-  ref.storage = LedgerStorage::kReference;
-  const ShardedSimReport rs = run_sharded(tasks, soa);
-  const ShardedSimReport rr = run_sharded(tasks, ref);
-  ASSERT_EQ(rs.results.size(), rr.results.size());
-  for (std::size_t i = 0; i < rs.results.size(); ++i) {
-    EXPECT_EQ(rs.results[i].cost, rr.results[i].cost) << tasks[i].label;
-    EXPECT_EQ(rs.results[i].bins_opened, rr.results[i].bins_opened);
-    EXPECT_EQ(rs.results[i].max_open, rr.results[i].max_open);
+  ShardedSimOptions opts;
+  opts.threads = 2;
+  const ShardedSimReport report = run_sharded(tasks, opts);
+  ASSERT_EQ(report.results.size(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const auto algo = tasks[i].make();
+    const RunResult want = Simulator{}.run(in, *algo);  // with history
+    EXPECT_EQ(report.results[i].cost, want.cost) << tasks[i].label;
+    EXPECT_EQ(report.results[i].bins_opened, want.bins_opened);
+    EXPECT_EQ(report.results[i].max_open, want.max_open);
   }
 }
 

@@ -106,8 +106,7 @@ TEST(InstanceFile, StreamedRunMatchesInRamRun) {
   const Instance in = make_general_random(cfg, rng);
   write_instance_file(f.path, in, /*chunk_items=*/64);
 
-  const Simulator sim{SimulatorOptions{.keep_history = false,
-                                       .storage = LedgerStorage::kSoa}};
+  const Simulator sim{SimulatorOptions{.keep_history = false}};
   algos::AnyFit ff(algos::FitRule::kFirst);
   const RunResult in_ram = sim.run(in, ff);
 
