@@ -222,7 +222,7 @@ void print_usage(std::ostream& out) {
       << "  gen-stream --out FILE [--items N] [--tenants T] [--seed S]\n"
       << "            [--mu-log2 M]\n"
       << "  serve     --algo ALGO --in STREAM --wal-dir DIR [--shards N]\n"
-      << "            [--fsync none|batch|every] [--fsync-batch K]\n"
+      << "            [--fsync none|every]  (default every)\n"
       << "            [--checkpoint-every N] [--admission block|reject|shed]\n"
       << "            [--queue-capacity N] [--throttle-us U] [--resume]\n"
       << "            [--wal-segment-bytes B] [--group-commit-window U]\n"
@@ -245,7 +245,7 @@ void print_usage(std::ostream& out) {
       << "            (load generator: one connection per tenant; exit 1 on\n"
       << "             unexpected loss unless --allow-loss)\n"
       << "  recover   --algo ALGO --wal-dir DIR [--shards N]\n"
-      << "  wal-dump  --wal FILE|BASE    (single file, or segmented base)\n"
+      << "  wal-dump  --wal BASE|SEG     (segmented base, or one .seg file)\n"
       << "  chaos     --dir DIR [--seeds S1,S2,...] [--random N]\n"
       << "            [--algo ALGO] [--offers N] [--checkpoint-every N]\n"
       << "            [--wal-segment-bytes B] [--max-points N] [--net]\n"
@@ -791,9 +791,7 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   rc.wal_dir = flags.require("wal-dir");
   rc.shards = static_cast<std::size_t>(
       to_int(flags.get("shards").value_or("1"), "--shards"));
-  rc.fsync = serve::parse_fsync_policy(flags.get("fsync").value_or("batch"));
-  rc.fsync_batch = static_cast<std::size_t>(
-      to_int(flags.get("fsync-batch").value_or("64"), "--fsync-batch"));
+  rc.fsync = serve::parse_fsync_policy(flags.get("fsync").value_or("every"));
   rc.checkpoint_every = static_cast<std::uint64_t>(to_int(
       flags.get("checkpoint-every").value_or("0"), "--checkpoint-every"));
   rc.admission = serve::parse_admission_policy(
@@ -1082,7 +1080,7 @@ int cmd_wal_dump(Flags& flags, std::ostream& out) {
           << num_exact(rec.arrival) << ',' << num_exact(rec.departure) << ','
           << num_exact(rec.size) << ',' << rec.bin << "\n";
   };
-  // "type1=N type7=M" for a frame-type histogram; type 1 is the offer
+  // "type2=N type7=M" for a frame-type histogram; type 2 is the offer
   // record, anything else was skipped as an unknown (newer-writer) kind.
   const auto fmt_frame_types =
       [](const std::map<unsigned, std::uint64_t>& counts) {
@@ -1093,12 +1091,13 @@ int cmd_wal_dump(Flags& flags, std::ostream& out) {
         }
         return s.empty() ? std::string("empty") : s;
       };
-  // A segment-chain base has a manifest next to it; a raw file (legacy log
-  // or an individual .seg) is dumped directly.
+  // An individual .seg file is dumped directly; anything else names a
+  // segment-chain base with a manifest next to it.
   const bool raw_segment =
       path.size() > 4 && path.compare(path.size() - 4, 4, ".seg") == 0;
-  if (!raw_segment && serve::read_wal_manifest(path)) {
+  if (!raw_segment) {
     const serve::SegmentedWalScan scan = serve::scan_segmented_wal(path);
+    if (!scan.exists) throw std::runtime_error("no such WAL: " + path);
     print_records(scan.records);
     std::map<unsigned, std::uint64_t> totals;
     for (std::size_t i = 0; i < scan.segment_frame_types.size(); ++i) {

@@ -105,7 +105,6 @@ DurableSession::DurableSession(AlgorithmPtr algo, std::string algo_name,
   checkpointable_ = dynamic_cast<Checkpointable*>(algo_.get());
   SegmentedWal::Options opts;
   opts.policy = config_.fsync;
-  opts.fsync_batch = config_.fsync_batch;
   opts.segment_bytes = config_.wal_segment_bytes;
   opts.group_commit = config_.group_commit;
   opts.env = config_.env;

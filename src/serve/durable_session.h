@@ -74,8 +74,7 @@ struct RecoveryReport {
 struct DurableSessionConfig {
   std::string wal_path;  ///< segment-chain base (see wal_segment.h)
   std::string checkpoint_path;
-  FsyncPolicy fsync = FsyncPolicy::kBatch;
-  std::size_t fsync_batch = 64;
+  FsyncPolicy fsync = FsyncPolicy::kEvery;
   /// Checkpoint every N offers; 0 disables periodic checkpoints. Ignored
   /// (recovery falls back to full replay) when the algorithm is not
   /// Checkpointable.

@@ -204,7 +204,6 @@ ShardRouter::ShardRouter(RouterConfig config,
     sc.wal_path = shard_file(config_.wal_dir, i, ".wal");
     sc.checkpoint_path = shard_file(config_.wal_dir, i, ".ckpt");
     sc.fsync = config_.fsync;
-    sc.fsync_batch = config_.fsync_batch;
     sc.checkpoint_every = config_.checkpoint_every;
     sc.resume = config_.resume;
     sc.wal_segment_bytes = config_.wal_segment_bytes;
@@ -478,9 +477,9 @@ void ShardRouter::worker_loop(Shard& shard) {
       shard.session->close();
     } catch (const std::exception& e) {
       // The final WAL sync failed: records already acked under kEvery are
-      // durable (their fsync happened at commit time); what is lost is
-      // only batched-policy tail durability, which acks never promised.
-      // Still a degraded shard — its log may end short of memory.
+      // durable (their fsync happened at commit time); under kNone acks
+      // never promised durability. Still a degraded shard — its log may
+      // end short of memory.
       mark_degraded(shard, e.what());
     }
   }

@@ -78,8 +78,7 @@ struct RouterConfig {
   std::size_t shards = 1;
   std::size_t queue_capacity = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  FsyncPolicy fsync = FsyncPolicy::kBatch;
-  std::size_t fsync_batch = 64;
+  FsyncPolicy fsync = FsyncPolicy::kEvery;
   std::uint64_t checkpoint_every = 0;  ///< 0 = no periodic checkpoints
   bool resume = false;
   /// Test/bench hook: microseconds each worker sleeps per request, to make

@@ -12,15 +12,14 @@ namespace cdbp::serve {
 
 namespace {
 
-constexpr char kWalMagicV1[8] = {'C', 'D', 'B', 'P', 'W', 'A', 'L', '1'};
-constexpr char kWalMagicV2[8] = {'C', 'D', 'B', 'P', 'W', 'A', 'L', '2'};
-// v2 segment header: magic + u64 base_seq + u32 crc32(base_seq bytes).
+constexpr char kWalMagic[8] = {'C', 'D', 'B', 'P', 'W', 'A', 'L', '2'};
+// Segment header: magic + u64 base_seq + u32 crc32(base_seq bytes).
 constexpr std::size_t kSegmentHeaderBytes = 8 + 8 + 4;
-constexpr std::uint8_t kRecordOffer = 1;
-constexpr std::uint8_t kRecordOfferTenant = 2;
-// Fixed offer-record payload: type + seq + stream_index + 3 doubles + bin.
-// A tenant offer (type 2) appends `u64 tenant_len | tenant bytes` to it.
-constexpr std::size_t kOfferPayload = 1 + 8 + 8 + 8 + 8 + 8 + 8;
+constexpr std::uint8_t kRecordRetiredOffer = 1;
+constexpr std::uint8_t kRecordOffer = 2;
+// Offer payload before the tenant bytes: type + seq + stream_index +
+// 3 doubles + bin + tenant_len.
+constexpr std::size_t kOfferFixedPayload = 1 + 8 + 8 + 8 + 8 + 8 + 8 + 8;
 // Envelope sanity bound: no legitimate record is this large, so a length
 // beyond it is torn-tail garbage, not a future record type.
 constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -57,8 +56,6 @@ std::string to_string(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kNone:
       return "none";
-    case FsyncPolicy::kBatch:
-      return "batch";
     case FsyncPolicy::kEvery:
       return "every";
   }
@@ -67,25 +64,18 @@ std::string to_string(FsyncPolicy policy) {
 
 FsyncPolicy parse_fsync_policy(const std::string& s) {
   if (s == "none") return FsyncPolicy::kNone;
-  if (s == "batch") return FsyncPolicy::kBatch;
   if (s == "every") return FsyncPolicy::kEvery;
-  throw std::invalid_argument("fsync policy must be none|batch|every, got '" +
-                              s + "'");
+  throw std::invalid_argument("fsync policy must be none|every, got '" + s +
+                              "'");
 }
 
 void fsync_parent_dir(const std::string& path, io::Env* env) {
   io::sync_parent_dir(io::env_or_posix(env), path);
 }
 
-WalWriter::WalWriter(std::string path, FsyncPolicy policy,
-                     std::size_t fsync_batch, bool truncate, WalFormat format,
+WalWriter::WalWriter(std::string path, FsyncPolicy policy, bool truncate,
                      std::uint64_t base_seq, io::Env* env)
-    : path_(std::move(path)),
-      policy_(policy),
-      fsync_batch_(fsync_batch),
-      env_(&io::env_or_posix(env)) {
-  if (policy_ == FsyncPolicy::kBatch && fsync_batch_ == 0)
-    throw std::invalid_argument("wal: fsync_batch must be >= 1");
+    : path_(std::move(path)), policy_(policy), env_(&io::env_or_posix(env)) {
   file_ = io::open_file(*env_, path_,
                         truncate ? io::OpenMode::kTruncate
                                  : io::OpenMode::kAppend);
@@ -95,21 +85,14 @@ WalWriter::WalWriter(std::string path, FsyncPolicy policy,
     throw std::runtime_error("wal: stat failed for '" + path_ + "'");
   bytes_ = static_cast<std::uint64_t>(size);
   if (size == 0) {
-    if (format == WalFormat::kLegacy) {
-      io::write_all(*file_, kWalMagicV1, sizeof(kWalMagicV1), path_);
-      bytes_ = sizeof(kWalMagicV1);
-    } else {
-      StateWriter seq_bytes;
-      seq_bytes.u64(base_seq);
-      StateWriter header;
-      header.u64(base_seq);
-      header.u32(crc32(seq_bytes.buffer().data(), seq_bytes.size()));
-      io::write_all(*file_, kWalMagicV2, sizeof(kWalMagicV2), path_);
-      io::write_all(*file_, header.buffer().data(), header.size(), path_);
-      bytes_ = kSegmentHeaderBytes;
-    }
+    StateWriter header;
+    header.u64(base_seq);
+    header.u32(crc32(header.buffer().data(), header.size()));
+    io::write_all(*file_, kWalMagic, sizeof(kWalMagic), path_);
+    io::write_all(*file_, header.buffer().data(), header.size(), path_);
+    bytes_ = kSegmentHeaderBytes;
     // An empty-but-created log must itself survive power loss under the
-    // durable policies, or recovery after a crash-before-first-append
+    // durable policy, or recovery after a crash-before-first-append
     // would see "missing file" where the writer saw "created".
     if (policy_ != FsyncPolicy::kNone) {
       fsync_file(*file_, path_);
@@ -132,14 +115,14 @@ WalWriter::~WalWriter() {
 void WalWriter::write_frame(const WalRecord& rec) {
   if (!file_) throw std::logic_error("wal: append after close");
   StateWriter payload;
-  payload.u8(rec.tenant.empty() ? kRecordOffer : kRecordOfferTenant);
+  payload.u8(kRecordOffer);
   payload.u64(rec.seq);
   payload.u64(rec.stream_index);
   payload.f64(rec.arrival);
   payload.f64(rec.departure);
   payload.f64(rec.size);
   payload.i64(rec.bin);
-  if (!rec.tenant.empty()) payload.str(rec.tenant);
+  payload.str(rec.tenant);
 
   StateWriter frame;
   frame.u32(static_cast<std::uint32_t>(payload.size()));
@@ -157,15 +140,10 @@ void WalWriter::write_frame(const WalRecord& rec) {
 
 void WalWriter::append(const WalRecord& rec) {
   write_frame(rec);
-  if (policy_ == FsyncPolicy::kEvery ||
-      (policy_ == FsyncPolicy::kBatch && unsynced_ >= fsync_batch_))
-    sync();
+  if (policy_ == FsyncPolicy::kEvery) sync();
 }
 
-void WalWriter::append_nosync(const WalRecord& rec) {
-  write_frame(rec);
-  if (policy_ == FsyncPolicy::kBatch && unsynced_ >= fsync_batch_) sync();
-}
+void WalWriter::append_nosync(const WalRecord& rec) { write_frame(rec); }
 
 void WalWriter::sync() {
   if (!file_) return;
@@ -192,31 +170,22 @@ WalReadResult read_wal(const std::string& path, io::Env* env) {
     return out;  // missing file: empty log, not an error
   out.exists = true;
 
-  std::size_t pos = 0;
-  if (data.size() >= sizeof(kWalMagicV1) &&
-      std::memcmp(data.data(), kWalMagicV1, sizeof(kWalMagicV1)) == 0) {
-    pos = sizeof(kWalMagicV1);
-  } else if (data.size() >= kSegmentHeaderBytes &&
-             std::memcmp(data.data(), kWalMagicV2, sizeof(kWalMagicV2)) ==
-                 0) {
-    StateReader r(std::string_view(data).substr(sizeof(kWalMagicV2)));
-    const std::uint64_t base_seq = r.u64();
-    const std::uint32_t crc = r.u32();
-    StateWriter seq_bytes;
-    seq_bytes.u64(base_seq);
-    if (crc32(seq_bytes.buffer().data(), seq_bytes.size()) != crc) {
-      out.torn = true;
-      out.tail_error = "corrupt segment header";
-      return out;
-    }
-    out.base_seq = base_seq;
-    pos = kSegmentHeaderBytes;
-  } else {
+  if (data.size() < kSegmentHeaderBytes ||
+      std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     out.torn = true;
     out.tail_error = "missing or corrupt WAL header";
     return out;
   }
+  StateReader header(std::string_view(data).substr(sizeof(kWalMagic)));
+  const std::uint64_t base_seq = header.u64();
+  if (crc32(data.data() + sizeof(kWalMagic), 8) != header.u32()) {
+    out.torn = true;
+    out.tail_error = "corrupt segment header";
+    return out;
+  }
+  out.base_seq = base_seq;
 
+  std::size_t pos = kSegmentHeaderBytes;
   out.valid_bytes = pos;
   while (pos < data.size()) {
     if (data.size() - pos < 8) {
@@ -244,11 +213,19 @@ WalReadResult read_wal(const std::string& path, io::Env* env) {
       break;
     }
     const auto type = static_cast<std::uint8_t>(payload[0]);
-    if (type == kRecordOffer || type == kRecordOfferTenant) {
-      // Type 1 is exactly the fixed body; type 2 appends a length-prefixed
-      // tenant that must consume the remainder of the payload exactly.
-      const bool tenanted = type == kRecordOfferTenant;
-      if (tenanted ? len < kOfferPayload + 8 : len != kOfferPayload) {
+    if (type == kRecordRetiredOffer) {
+      // An intact frame is an offer that was acked. Skipping it, or
+      // truncating it as torn tail, would silently lose that decision.
+      std::string what = "wal: retired type-1 offer frame at byte ";
+      what.append(std::to_string(pos))
+          .append(" of '")
+          .append(path)
+          .append("'; this log predates the current frame format");
+      throw std::runtime_error(what);
+    }
+    if (type == kRecordOffer) {
+      // The length-prefixed tenant must consume the rest of the payload.
+      if (len < kOfferFixedPayload) {
         out.torn = true;
         out.tail_error = "bad offer frame length";
         break;
@@ -261,15 +238,13 @@ WalReadResult read_wal(const std::string& path, io::Env* env) {
       rec.departure = r.f64();
       rec.size = r.f64();
       rec.bin = r.i64();
-      if (tenanted) {
-        const std::uint64_t tenant_len = r.u64();
-        if (tenant_len == 0 || tenant_len != r.remaining()) {
-          out.torn = true;
-          out.tail_error = "bad offer frame length";
-          break;
-        }
-        rec.tenant.assign(payload + kOfferPayload + 8, tenant_len);
+      const std::uint64_t tenant_len = r.u64();
+      if (tenant_len != r.remaining()) {
+        out.torn = true;
+        out.tail_error = "bad offer frame length";
+        break;
       }
+      rec.tenant.assign(payload + kOfferFixedPayload, tenant_len);
       out.records.push_back(std::move(rec));
     } else {
       // Envelope-valid frame of a type this reader does not know: a newer

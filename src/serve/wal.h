@@ -3,35 +3,35 @@
 // shard's source of truth — recovery replays it (from the last checkpoint,
 // or from the beginning) to rebuild the exact session state.
 //
-// File layout (docs/SERVING.md has the full spec):
-//   header  := "CDBPWAL1"                      (legacy single-file log)
-//            | "CDBPWAL2" u64 base_seq u32 crc (segment of a segmented log,
-//                                               see wal_segment.h)
+// File layout (docs/SERVING.md has the full spec), all little-endian,
+// doubles as bit patterns:
+//   header  := "CDBPWAL2" u64 base_seq u32 crc32(base_seq)
+//              (every file is a segment of a segmented log, wal_segment.h)
 //   frame   := u32 payload_len | u32 crc32(payload) | payload
 //   payload := u8 type | type-specific body
-//   type 1 (offer), all little-endian, doubles as bit patterns:
+//   type 2 (offer):
 //     u64 seq | u64 stream_index | f64 arrival | f64 departure
-//     | f64 size | i64 bin
-//   type 2 (tenant offer): the type-1 body followed by
-//     u64 tenant_len | tenant bytes
-//   Writers emit type 2 whenever the record carries a tenant and type 1
-//   otherwise, so tenant-less logs stay byte-identical to the v1 format.
-//   The tenant keys resume de-duplication per (tenant, stream_index) —
-//   independent tenants sharing a shard have uncoordinated id spaces, so a
-//   shard-global high-water mark would silently skip one tenant's offers
-//   once another tenant pushed a larger id.
+//     | f64 size | i64 bin | u64 tenant_len | tenant bytes
+//   tenant_len == 0 means no tenant. The tenant keys resume de-duplication
+//   per (tenant, stream_index) — independent tenants sharing a shard have
+//   uncoordinated id spaces, so a shard-global high-water mark would
+//   silently skip one tenant's offers once another tenant pushed a larger
+//   id.
+//   Type 1 is retired (the tenant-less offer frame of an earlier format).
+//   An intact type-1 frame is an acked offer this reader cannot replay, so
+//   read_wal() throws rather than skip or truncate it.
 //
-// Frame-format v2 envelope rule: readers validate the (length, CRC)
-// envelope first and only then dispatch on the record type. A frame whose
-// CRC checks out but whose type is unknown is *skipped*, not fatal — newer
-// writers may add record kinds that an older reader replays through.
+// Envelope rule: readers validate the (length, CRC) envelope first and only
+// then dispatch on the record type. A frame whose CRC checks out but whose
+// type is unknown (not 1 or 2) is *skipped*, not fatal — newer writers may
+// add record kinds that an older reader replays through.
 //
 // Torn-write semantics: a reader accepts the longest prefix of intact
 // frames and reports everything after it (a partial frame from a crash, or
 // a corrupted one) as a torn tail. Recovery truncates the file back to the
-// intact prefix; the lost records were never acknowledged under
-// FsyncPolicy::kEvery, and under batched policies the affected requests are
-// re-fed by the resume path (stream_index de-duplication, see
+// intact prefix. Under FsyncPolicy::kEvery no record is acked before its
+// fsync returned, so the truncated records were never acknowledged; their
+// requests are re-fed by the resume path (stream_index de-duplication, see
 // shard_router.h).
 #pragma once
 
@@ -47,14 +47,15 @@
 namespace cdbp::serve {
 
 /// When appends are made durable.
-///  * kNone   — never fsync; the OS flushes when it pleases (bench baseline).
-///  * kBatch  — fsync every `fsync_batch` records and on flush()/close().
-///  * kEvery  — fsync after every record: an acked placement survives
-///              kill -9 of the process and loss of the page cache.
-enum class FsyncPolicy { kNone, kBatch, kEvery };
+///  * kEvery  — a record is fsynced before it is acknowledged: an acked
+///              placement survives kill -9 of the process and loss of the
+///              page cache. The default.
+///  * kNone   — never fsync; the OS flushes when it pleases (the
+///              no-durability bench baseline).
+enum class FsyncPolicy { kNone, kEvery };
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);
-/// Parses "none" | "batch" | "every"; throws std::invalid_argument.
+/// Parses "none" | "every"; throws std::invalid_argument.
 [[nodiscard]] FsyncPolicy parse_fsync_policy(const std::string& s);
 
 /// Fsyncs the directory containing `path`, making a just-completed
@@ -65,12 +66,6 @@ enum class FsyncPolicy { kNone, kBatch, kEvery };
 /// filesystem; a FaultInjectingEnv makes this a scheduled fault point.
 void fsync_parent_dir(const std::string& path, io::Env* env = nullptr);
 
-/// On-disk header flavor a WalWriter emits when it creates a file.
-enum class WalFormat {
-  kLegacy,   ///< "CDBPWAL1", records start at seq 0
-  kSegment,  ///< "CDBPWAL2" + u64 base_seq + u32 crc (segmented log member)
-};
-
 /// One logged placement decision.
 struct WalRecord {
   std::uint64_t seq = 0;           ///< per-shard offer sequence number
@@ -80,8 +75,8 @@ struct WalRecord {
   Load size = 0.0;
   BinId bin = kNoBin;
   /// Owner of stream_index's id space ("" = the shard-global space, e.g.
-  /// tenant-less tools driving a DurableSession directly). Serialized as a
-  /// type-2 frame when non-empty, type 1 otherwise.
+  /// tenant-less tools driving a DurableSession directly). Serialized with
+  /// tenant_len 0 when empty.
   std::string tenant;
 
   friend bool operator==(const WalRecord&, const WalRecord&) = default;
@@ -93,16 +88,16 @@ struct WalRecord {
 /// it). Throws std::runtime_error on I/O failure.
 class WalWriter {
  public:
-  /// Opens (creating if needed) `path`. `truncate` starts a fresh log with
-  /// a new header; otherwise appends to the existing file (which must carry
-  /// a valid header — recovery truncates torn tails before reopening).
-  /// A newly created header is fsynced (file + parent directory) under
-  /// kBatch/kEvery so an empty-but-created log survives power loss.
+  /// Opens (creating if needed) `path`. `truncate` starts a fresh segment
+  /// whose header records `base_seq`; otherwise appends to the existing
+  /// file (which must carry a valid header — recovery truncates torn tails
+  /// before reopening). A newly created header is fsynced (file + parent
+  /// directory) under kEvery so an empty-but-created log survives power
+  /// loss.
   /// All I/O flows through `env` (nullptr = the real filesystem), so a
   /// FaultInjectingEnv can schedule short writes, ENOSPC, and fsync faults
   /// against every byte this writer emits.
-  WalWriter(std::string path, FsyncPolicy policy, std::size_t fsync_batch,
-            bool truncate, WalFormat format = WalFormat::kLegacy,
+  WalWriter(std::string path, FsyncPolicy policy, bool truncate,
             std::uint64_t base_seq = 0, io::Env* env = nullptr);
   ~WalWriter();
 
@@ -113,10 +108,9 @@ class WalWriter {
   /// once the record is durable per the policy.
   void append(const WalRecord& rec);
 
-  /// Appends one framed record WITHOUT applying the per-record part of the
-  /// fsync policy (kBatch still syncs when the batch threshold is hit).
-  /// Callers that defer durability this way must pair it with sync() — or
-  /// a group commit — before acknowledging the record.
+  /// Appends one framed record WITHOUT the fsync. Callers that defer
+  /// durability this way must pair it with sync() — or a group commit —
+  /// before acknowledging the record.
   void append_nosync(const WalRecord& rec);
 
   /// Forces an fsync now (no-op under kNone with nothing buffered is still
@@ -144,7 +138,6 @@ class WalWriter {
 
   std::string path_;
   FsyncPolicy policy_;
-  std::size_t fsync_batch_;
   io::Env* env_;
   std::unique_ptr<io::File> file_;
   std::size_t unsynced_ = 0;
@@ -157,9 +150,9 @@ class WalWriter {
 struct WalReadResult {
   std::vector<WalRecord> records;  ///< longest intact prefix
   std::uint64_t valid_bytes = 0;   ///< file offset where the prefix ends
-  std::uint64_t base_seq = 0;      ///< from a v2 segment header (0 legacy)
+  std::uint64_t base_seq = 0;      ///< from the segment header
   std::uint64_t unknown_records = 0;  ///< intact frames of unknown type
-  /// Intact frames by on-disk record type (offer = 1), including the
+  /// Intact frames by on-disk record type (offer = 2), including the
   /// unknown ones — `cdbp wal-dump` reports this per segment.
   std::map<unsigned, std::uint64_t> frame_type_counts;
   bool exists = false;             ///< the file was present
@@ -167,11 +160,12 @@ struct WalReadResult {
   std::string tail_error;          ///< why the tail was rejected (when torn)
 };
 
-/// Scans `path` (legacy "CDBPWAL1" file or "CDBPWAL2" segment), accepting
-/// the longest intact frame prefix (see file comment). A missing file
-/// yields an empty, non-torn result; a present file with a bad header
-/// yields torn with valid_bytes = 0... the caller decides whether to
-/// truncate (recovery does).
+/// Scans the segment at `path`, accepting the longest intact frame prefix
+/// (see file comment). A missing file yields an empty, non-torn result; a
+/// present file with a bad header yields torn with valid_bytes = 0... the
+/// caller decides whether to truncate (recovery does). Throws
+/// std::runtime_error on an intact retired type-1 frame: it is an acked
+/// offer, so neither skipping nor truncating it is safe.
 [[nodiscard]] WalReadResult read_wal(const std::string& path,
                                      io::Env* env = nullptr);
 

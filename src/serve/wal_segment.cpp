@@ -65,14 +65,6 @@ std::uint64_t file_size_or_zero(io::Env& env, const std::string& path) {
   return size < 0 ? 0 : static_cast<std::uint64_t>(size);
 }
 
-WalFormat format_of_entry(const std::string& base,
-                          const WalManifest::Entry& entry) {
-  // The only non-".seg" entry a manifest can hold is an adopted legacy
-  // bare file, which carries the v1 header.
-  return entry.file == name_of(base) ? WalFormat::kLegacy
-                                     : WalFormat::kSegment;
-}
-
 }  // namespace
 
 std::optional<WalManifest> read_wal_manifest(const std::string& base,
@@ -161,11 +153,11 @@ SegmentedWalScan scan_segmented_wal(const std::string& base,
     out.manifest = std::move(*manifest);
     out.exists = true;
   } else if (e.exists(base)) {
-    // Pre-segmentation log: adopt the bare file as the first segment.
-    out.legacy = true;
-    out.exists = true;
-    out.manifest.next_segment_id = 1;
-    out.manifest.segments.push_back({name_of(base), 0});
+    // Not a log this reader can resume: neither adopting it nor starting
+    // over it is safe, since either could lose or shadow acked offers.
+    throw std::runtime_error("wal: '" + base +
+                             "' is a plain file with no manifest; move it "
+                             "away or choose another WAL path");
   } else {
     return out;
   }
@@ -324,38 +316,27 @@ SegmentedWal::SegmentedWal(std::string base, Options opts, bool truncate,
     old.torn_segment = static_cast<std::size_t>(-1);
     repair_segmented_wal(base_, old, env_);  // orphan/tmp sweep
     remove_file_durable(*env_, manifest_path(base_));
-    manifest_.next_segment_id = 1;
-    const std::uint64_t id = manifest_.next_segment_id++;
-    manifest_.segments.push_back(
-        {name_of(wal_segment_path(base_, id)), 0});
-    open_active(0, /*create=*/true, WalFormat::kSegment);
-    write_wal_manifest(base_, manifest_, env_);
-    return;
+  } else {
+    SegmentedWalScan own;
+    if (scan == nullptr) {
+      own = scan_segmented_wal(base_, nullptr, env_);
+      repair_segmented_wal(base_, own, env_);
+      scan = &own;
+    }
+    manifest_ = scan->manifest;
+    if (!manifest_.segments.empty()) {
+      open_active(manifest_.segments.back().base_seq, /*create=*/false);
+      records_in_active_ = scan->segment_records.empty()
+                               ? 0
+                               : scan->segment_records.back();
+      return;
+    }
   }
-
-  SegmentedWalScan own;
-  if (scan == nullptr) {
-    own = scan_segmented_wal(base_, nullptr, env_);
-    repair_segmented_wal(base_, own, env_);
-    scan = &own;
-  }
-  manifest_ = scan->manifest;
-  if (manifest_.segments.empty()) {
-    const std::uint64_t id = manifest_.next_segment_id++;
-    manifest_.segments.push_back(
-        {name_of(wal_segment_path(base_, id)), 0});
-    open_active(0, /*create=*/true, WalFormat::kSegment);
-    write_wal_manifest(base_, manifest_, env_);
-    return;
-  }
-  const WalManifest::Entry& last = manifest_.segments.back();
-  open_active(last.base_seq, /*create=*/false, format_of_entry(base_, last));
-  records_in_active_ = scan->segment_records.empty()
-                           ? 0
-                           : scan->segment_records.back();
-  // Legacy adoption: give the bare file a manifest so rotation and
-  // compaction have somewhere to live.
-  if (scan->legacy) write_wal_manifest(base_, manifest_, env_);
+  // No live segment (a fresh log, or an empty manifest): create one.
+  const std::uint64_t id = manifest_.next_segment_id++;
+  manifest_.segments.push_back({name_of(wal_segment_path(base_, id)), 0});
+  open_active(0, /*create=*/true);
+  write_wal_manifest(base_, manifest_, env_);
 }
 
 SegmentedWal::~SegmentedWal() {
@@ -371,11 +352,10 @@ std::string SegmentedWal::full_path(const std::string& file) const {
   return dir_of(base_) + "/" + file;
 }
 
-void SegmentedWal::open_active(std::uint64_t base_seq, bool create,
-                               WalFormat format) {
+void SegmentedWal::open_active(std::uint64_t base_seq, bool create) {
   writer_ = std::make_unique<WalWriter>(
       full_path(manifest_.segments.back().file), opts_.policy,
-      opts_.fsync_batch, /*truncate=*/create, format, base_seq, env_);
+      /*truncate=*/create, base_seq, env_);
   records_in_active_ = 0;
 }
 
@@ -391,7 +371,7 @@ void SegmentedWal::maybe_rotate(std::uint64_t next_seq) {
   const std::uint64_t id = manifest_.next_segment_id++;
   manifest_.segments.push_back(
       {name_of(wal_segment_path(base_, id)), next_seq});
-  open_active(next_seq, /*create=*/true, WalFormat::kSegment);
+  open_active(next_seq, /*create=*/true);
   write_wal_manifest(base_, manifest_, env_);
   ++rotations_;
   g_rotations.add();

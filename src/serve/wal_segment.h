@@ -5,8 +5,8 @@
 //       payload := u32 version | u64 next_segment_id | u64 count
 //                | count x (str filename | u64 base_seq)
 //   <base>.000001.seg ...       "CDBPWAL2" segment files (wal.h frames)
-//   <base>                      a bare legacy "CDBPWAL1" file is adopted
-//                               as the first segment on open
+//   <base>                      never a file: a plain file there with no
+//                               manifest is refused, not adopted
 //
 // Why segments: (1) checkpoint-anchored *compaction* — segments whose
 // every record is covered by the latest checkpoint are deleted, so the log
@@ -74,9 +74,8 @@ void write_wal_manifest(const std::string& base, const WalManifest& m,
 
 /// Result of scanning a whole segmented log.
 struct SegmentedWalScan {
-  bool exists = false;  ///< a manifest or a legacy bare file was present
-  bool legacy = false;  ///< no manifest: the bare `base` file was adopted
-  WalManifest manifest;            ///< effective (synthesized when legacy)
+  bool exists = false;             ///< a manifest was present
+  WalManifest manifest;
   std::vector<WalRecord> records;  ///< global intact prefix, in seq order
   std::uint64_t first_seq = 0;     ///< base_seq of the first live segment
   bool torn = false;
@@ -99,6 +98,8 @@ struct SegmentedWalScan {
 
 /// CRC-scans every segment (in parallel on `pool` when given and there is
 /// more than one) and assembles the global intact prefix. Read-only.
+/// Throws std::runtime_error when `base` is a plain file with no manifest
+/// (a log this reader cannot resume) and on a retired frame (read_wal).
 [[nodiscard]] SegmentedWalScan scan_segmented_wal(
     const std::string& base, parallel::ThreadPool* pool = nullptr,
     io::Env* env = nullptr);
@@ -117,8 +118,7 @@ std::uint64_t repair_segmented_wal(const std::string& base,
 class SegmentedWal final : public WalSyncable {
  public:
   struct Options {
-    FsyncPolicy policy = FsyncPolicy::kBatch;
-    std::size_t fsync_batch = 64;
+    FsyncPolicy policy = FsyncPolicy::kEvery;
     /// Rotate to a new segment once the active one reaches this size.
     /// 0 = never rotate (single growing segment).
     std::uint64_t segment_bytes = 0;
@@ -131,12 +131,12 @@ class SegmentedWal final : public WalSyncable {
     io::Env* env = nullptr;
   };
 
-  /// truncate=true starts a fresh log: every existing segment, manifest,
-  /// and bare legacy file for `base` is removed and segment 1 is created.
+  /// truncate=true starts a fresh log: every existing segment and the
+  /// manifest for `base` are removed and segment 1 is created.
   /// truncate=false resumes: `scan` should be the (repaired) scan the
   /// caller replayed from — pass nullptr to let the writer scan + repair
-  /// itself. A bare legacy log is adopted (manifest written, appends
-  /// continue into the legacy file until rotation).
+  /// itself. Either way a plain file at `base` throws (see
+  /// scan_segmented_wal).
   SegmentedWal(std::string base, Options opts, bool truncate,
                const SegmentedWalScan* scan = nullptr);
   ~SegmentedWal() override;
@@ -148,14 +148,13 @@ class SegmentedWal final : public WalSyncable {
   /// group-commit coordinator when configured). May rotate first.
   void append(const WalRecord& rec);
 
-  /// Appends without the per-record durability step (kBatch thresholds
-  /// still apply). Pair with commit() before acknowledging.
+  /// Appends without the per-record durability step. Pair with commit()
+  /// before acknowledging.
   void append_nosync(const WalRecord& rec);
 
   /// Makes everything appended so far durable per the policy: kEvery
-  /// fsyncs (group commit when configured), kNone/kBatch are no-ops beyond
-  /// their own cadence. The shard worker calls this once per drained
-  /// batch, then acks the whole batch.
+  /// fsyncs (group commit when configured), kNone is a no-op. The shard
+  /// worker calls this once per drained batch, then acks the whole batch.
   void commit();
 
   /// Unconditional direct fsync of the active segment (checkpoint
@@ -189,7 +188,7 @@ class SegmentedWal final : public WalSyncable {
   synced_watermarks() const;
 
  private:
-  void open_active(std::uint64_t base_seq, bool create, WalFormat format);
+  void open_active(std::uint64_t base_seq, bool create);
   void maybe_rotate(std::uint64_t next_seq);
   [[nodiscard]] std::string full_path(const std::string& file) const;
 

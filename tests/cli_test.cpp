@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.h"
+#include "scratch_path.h"
+
 namespace cdbp::cli {
 namespace {
 
@@ -23,7 +26,7 @@ CliRun cli(std::vector<std::string> args) {
 }
 
 std::string temp_file(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return testutil::scratch_path(name).string();
 }
 
 TEST(Cli, HelpAndNoArgs) {
@@ -339,7 +342,7 @@ std::string line_with(const std::string& text, const std::string& needle) {
 TEST(Cli, ServeRecoverWalDumpPipeline) {
   namespace fs = std::filesystem;
   const std::string stream = temp_file("cdbp_cli_stream.csv");
-  const fs::path wal_dir = fs::temp_directory_path() / "cdbp_cli_serve_wal";
+  const fs::path wal_dir = testutil::scratch_path("cdbp_cli_serve_wal");
   fs::remove_all(wal_dir);
 
   const CliRun gen = cli({"gen-stream", "--out", stream, "--items", "150",
@@ -394,10 +397,69 @@ TEST(Cli, ServeRecoverWalDumpPipeline) {
   fs::remove_all(wal_dir);
 }
 
+// `serve --fsync` takes none|every and defaults to every; the retired
+// batch policy and its --fsync-batch knob are usage errors.
+TEST(Cli, ServeFsyncIsNoneOrEveryAndDefaultsToEvery) {
+  namespace fs = std::filesystem;
+  const std::string stream = temp_file("cdbp_cli_fsync_stream.csv");
+  const fs::path wal_dir = testutil::scratch_path("cdbp_cli_fsync_wal");
+  fs::remove_all(wal_dir);
+  ASSERT_EQ(cli({"gen-stream", "--out", stream, "--items", "40", "--tenants",
+                 "3", "--seed", "4"})
+                .code,
+            0);
+  const auto serve = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = {"serve",     "--algo", "ff", "--in",
+                                     stream,      "--wal-dir",
+                                     wal_dir.string()};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return cli(args);
+  };
+
+  const CliRun batch = serve({"--fsync", "batch"});
+  EXPECT_EQ(batch.code, 1);
+  EXPECT_NE(batch.err.find("none|every"), std::string::npos) << batch.err;
+  const CliRun knob = serve({"--fsync-batch", "64"});
+  EXPECT_EQ(knob.code, 1);
+  EXPECT_NE(knob.err.find("unknown flag --fsync-batch"), std::string::npos)
+      << knob.err;
+
+  const obs::Counter& fsyncs =
+      obs::MetricsRegistry::global().counter("wal.fsyncs");
+  const std::uint64_t before_none = fsyncs.value();
+  const CliRun none = serve({"--fsync", "none"});
+  EXPECT_EQ(none.code, 0) << none.err;
+  EXPECT_EQ(fsyncs.value(), before_none);
+  const CliRun every = serve({});
+  EXPECT_EQ(every.code, 0) << every.err;
+  EXPECT_EQ(line_with(every.out, "total cost="),
+            line_with(none.out, "total cost="));
+#ifndef CDBP_OBS_OFF
+  // The default policy fsyncs the WAL before acking.
+  EXPECT_GT(fsyncs.value(), before_none);
+#endif
+  EXPECT_NE(cli({"help"}).out.find("[--fsync none|every]  (default every)"),
+            std::string::npos);
+
+  std::remove(stream.c_str());
+  fs::remove_all(wal_dir);
+}
+
+// wal-dump reads a segmented base or one .seg file; a plain file at a base
+// path (no manifest) is refused rather than dumped as a log.
+TEST(Cli, WalDumpRefusesBareFile) {
+  const std::string bare = temp_file("cdbp_cli_bare.wal");
+  std::ofstream(bare, std::ios::binary) << "CDBPWAL1";
+  const CliRun dump = cli({"wal-dump", "--wal", bare});
+  EXPECT_EQ(dump.code, 1);
+  EXPECT_NE(dump.err.find("no manifest"), std::string::npos) << dump.err;
+  std::remove(bare.c_str());
+}
+
 TEST(Cli, ServeStatsExporterFlags) {
   namespace fs = std::filesystem;
   const std::string stream = temp_file("cdbp_cli_stats_stream.csv");
-  const fs::path wal_dir = fs::temp_directory_path() / "cdbp_cli_stats_wal";
+  const fs::path wal_dir = testutil::scratch_path("cdbp_cli_stats_wal");
   const std::string base = temp_file("cdbp_cli_stats");
   fs::remove_all(wal_dir);
   ASSERT_EQ(cli({"gen-stream", "--out", stream, "--items", "80", "--tenants",
@@ -436,9 +498,9 @@ TEST(Cli, ServeResumeMatchesUninterruptedRun) {
   namespace fs = std::filesystem;
   const std::string stream = temp_file("cdbp_cli_resume_stream.csv");
   const std::string half = temp_file("cdbp_cli_resume_half.csv");
-  const fs::path ref_dir = fs::temp_directory_path() / "cdbp_cli_resume_ref";
+  const fs::path ref_dir = testutil::scratch_path("cdbp_cli_resume_ref");
   const fs::path crash_dir =
-      fs::temp_directory_path() / "cdbp_cli_resume_crash";
+      testutil::scratch_path("cdbp_cli_resume_crash");
   fs::remove_all(ref_dir);
   fs::remove_all(crash_dir);
 

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_path.h"
+
 namespace cdbp::io {
 namespace {
 
@@ -21,11 +23,7 @@ namespace fs = std::filesystem;
 class IoEnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_io_env_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_io_env_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -20,6 +20,7 @@
 #include "cli/cli.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "scratch_path.h"
 #include "serve/request_stream.h"
 #include "serve/shard_router.h"
 
@@ -125,10 +126,7 @@ class RawConn {
 class NetListenerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_net_test_" + std::string(::testing::UnitTest::GetInstance()
-                                               ->current_test_info()
-                                               ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_net_test_");
     fs::remove_all(dir_);
   }
   void TearDown() override {

@@ -8,6 +8,7 @@
 
 #include "algos/any_fit.h"
 #include "core/simulator.h"
+#include "scratch_path.h"
 #include "test_util.h"
 #include "workloads/general_random.h"
 #include "workloads/instance_file.h"
@@ -64,8 +65,7 @@ TEST(ShardedSim, MatchesSequentialRunsInTaskOrder) {
 TEST(ShardedSim, StreamedTaskMatchesInRamTask) {
   const Instance in = make_test_instance(3);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cdbp_sharded_sim.cdbpi")
-          .string();
+      testutil::scratch_path("cdbp_sharded_sim.cdbpi").string();
   workloads::write_instance_file(path, in, /*chunk_items=*/64);
 
   std::vector<ShardTask> tasks;

@@ -11,6 +11,7 @@
 #include "report/ascii_chart.h"
 #include "report/csv.h"
 #include "report/table.h"
+#include "scratch_path.h"
 #include "test_util.h"
 #include "workloads/binary_input.h"
 
@@ -100,7 +101,7 @@ TEST(Csv, EscapingRules) {
 
 TEST(Csv, WritesFile) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cdbp_csv_test.csv").string();
+      testutil::scratch_path("cdbp_csv_test.csv").string();
   {
     CsvWriter w(path, {"a", "b"});
     w.add_row({"1", "x,y"});

@@ -17,6 +17,7 @@
 
 #include "cli/cli.h"
 #include "core/io_env.h"
+#include "scratch_path.h"
 #include "serve/durable_session.h"
 #include "serve/shard_router.h"
 #include "serve/stats_exporter.h"
@@ -30,11 +31,7 @@ namespace fs = std::filesystem;
 class FaultMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_fault_matrix_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_fault_matrix_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

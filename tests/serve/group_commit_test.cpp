@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/cli.h"
+#include "scratch_path.h"
 #include "serve/durable_session.h"
 
 namespace cdbp::serve {
@@ -145,13 +146,7 @@ TEST(GroupCommitTest, IndependentTargetsCommitInOneRound) {
 class GroupCommitDurabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_group_commit_test_" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::string(::testing::UnitTest::GetInstance()
-                                  ->current_test_info()
-                                  ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_group_commit_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/cli.h"
+#include "scratch_path.h"
 #include "workloads/aligned_random.h"
 #include "workloads/general_random.h"
 
@@ -29,11 +30,7 @@ namespace fs = std::filesystem;
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_recovery_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_recovery_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -135,6 +132,10 @@ void check_crash_recovery(const std::string& algo_name,
 }
 
 constexpr std::uint64_t kSeeds = 8;
+// Rotation threshold that holds five tenant-less records per segment
+// (20-byte header + 65-byte frames), so the rotation and compaction
+// points below fall where these tests expect them.
+constexpr std::uint64_t kFiveRecordSegment = 320;
 constexpr std::uint64_t kCkptEvery = 7;
 
 TEST_F(RecoveryTest, BitIdenticalOnGeneralInputs) {
@@ -203,8 +204,8 @@ TEST_F(RecoveryTest, CheckpointAheadOfTruncatedWalIsIgnored) {
   const std::string seg = wal_segment_path(cfg.wal_path, 1);
   const WalReadResult wal = read_wal(seg);
   ASSERT_EQ(wal.records.size(), 6u);
-  const std::uint64_t header = wal.valid_bytes - 57 * 6;
-  truncate_wal(seg, header + 4 * 57);
+  const std::uint64_t header = wal.valid_bytes - 65 * 6;
+  truncate_wal(seg, header + 4 * 65);
 
   DurableSession rec(cli::make_algorithm("ff"), "ff",
                      config("ahead", true, 2));
@@ -306,9 +307,9 @@ TEST_F(RecoveryTest, SegmentedLogRecoversBitIdenticallyAcrossCuts) {
         instance.size() - 1}) {
     const std::string tag = "seg" + std::to_string(cut);
     auto crash_cfg = config(tag, false, kCkptEvery);
-    // ~4 records per segment: the sweep crosses many rotation (and, with
+    // 5 records per segment: the sweep crosses many rotation (and, with
     // checkpoints every 7, compaction) boundaries.
-    crash_cfg.wal_segment_bytes = 256;
+    crash_cfg.wal_segment_bytes = kFiveRecordSegment;
     {
       DurableSession crash(cli::make_algorithm("bf"), "bf", crash_cfg);
       for (std::size_t i = 0; i < cut; ++i) {
@@ -321,7 +322,7 @@ TEST_F(RecoveryTest, SegmentedLogRecoversBitIdenticallyAcrossCuts) {
       }
     }
     auto resume_cfg = config(tag, true, kCkptEvery);
-    resume_cfg.wal_segment_bytes = 256;
+    resume_cfg.wal_segment_bytes = kFiveRecordSegment;
     DurableSession rec(cli::make_algorithm("bf"), "bf", resume_cfg);
     EXPECT_EQ(rec.seq(), cut);
     if (cut > 8) {
@@ -342,7 +343,7 @@ TEST_F(RecoveryTest, SegmentedLogRecoversBitIdenticallyAcrossCuts) {
 TEST_F(RecoveryTest, CompactedWalWithoutCheckpointRefusesRecovery) {
   const Instance instance = general_instance(10);
   auto cfg = config("compact", false, 5);
-  cfg.wal_segment_bytes = 256;
+  cfg.wal_segment_bytes = kFiveRecordSegment;
   {
     DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
     for (std::size_t i = 0; i < 30; ++i) {
@@ -360,7 +361,7 @@ TEST_F(RecoveryTest, CompactedWalWithoutCheckpointRefusesRecovery) {
   // alone would silently rebuild a wrong session.
   fs::remove(cfg.checkpoint_path);
   auto resume_cfg = config("compact", true, 5);
-  resume_cfg.wal_segment_bytes = 256;
+  resume_cfg.wal_segment_bytes = kFiveRecordSegment;
   EXPECT_THROW(DurableSession(cli::make_algorithm("ff"), "ff", resume_cfg),
                std::runtime_error);
 }
@@ -368,7 +369,7 @@ TEST_F(RecoveryTest, CompactedWalWithoutCheckpointRefusesRecovery) {
 TEST_F(RecoveryTest, MidCompactionOrphanSegmentIsRemovedOnRecovery) {
   const Instance instance = general_instance(11);
   auto cfg = config("orphan", false, 0);
-  cfg.wal_segment_bytes = 256;
+  cfg.wal_segment_bytes = kFiveRecordSegment;
   Cost ref_cost = 0.0;
   {
     DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
@@ -397,7 +398,7 @@ TEST_F(RecoveryTest, MidCompactionOrphanSegmentIsRemovedOnRecovery) {
   ASSERT_TRUE(fs::exists(orphan));
 
   auto resume_cfg = config("orphan", true, 5);
-  resume_cfg.wal_segment_bytes = 256;
+  resume_cfg.wal_segment_bytes = kFiveRecordSegment;
   DurableSession rec(cli::make_algorithm("ff"), "ff", resume_cfg);
   EXPECT_FALSE(fs::exists(orphan)) << "orphan segment must be swept";
   EXPECT_TRUE(rec.recovery().used_checkpoint);

@@ -23,6 +23,7 @@
 
 #include "cli/cli.h"
 #include "core/io_env.h"
+#include "scratch_path.h"
 
 namespace cdbp::serve {
 namespace {
@@ -32,11 +33,7 @@ namespace fs = std::filesystem;
 class RouterAdmissionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_admission_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_admission_test_");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -18,6 +18,7 @@
 
 #include "algos/any_fit.h"
 #include "obs/snapshot.h"
+#include "scratch_path.h"
 #include "serve/request_stream.h"
 #include "serve/shard_router.h"
 #include "serve/stats_exporter.h"
@@ -30,11 +31,7 @@ namespace fs = std::filesystem;
 class ServeObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_serve_obs_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_serve_obs_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

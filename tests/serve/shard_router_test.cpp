@@ -13,6 +13,7 @@
 #include "algos/any_fit.h"
 #include "cli/cli.h"
 #include "core/session.h"
+#include "scratch_path.h"
 #include "serve/request_stream.h"
 
 namespace cdbp::serve {
@@ -23,11 +24,7 @@ namespace fs = std::filesystem;
 class ShardRouterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_router_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_router_test_");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -1,35 +1,35 @@
 // Segment-chain semantics: rotation, manifest consistency, the global
 // intact-prefix rule under tears in NON-final segments, checkpoint-anchored
-// compaction, orphan sweeps, and legacy single-file adoption.
+// compaction, orphan sweeps, and refusal of logs this reader must not
+// resume (a bare file at the base path, a retired frame type).
 #include "serve/wal_segment.h"
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "parallel/thread_pool.h"
+#include "scratch_path.h"
 
 namespace cdbp::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint64_t kFrameBytes = 57;  // 8 envelope + 49 offer payload
+// 8 envelope + 57 offer payload (tenant-less: tenant_len 0).
+constexpr std::uint64_t kFrameBytes = 65;
 
 class WalSegmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cdbp_wal_segment_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::string(::testing::UnitTest::GetInstance()
-                                  ->current_test_info()
-                                  ->name()));
+    dir_ = testutil::test_scratch_dir("cdbp_wal_segment_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -122,7 +122,6 @@ TEST_F(WalSegmentTest, RotationChainsSegmentsAndScanReassembles) {
   }
   const SegmentedWalScan scan = scan_segmented_wal(b);
   EXPECT_TRUE(scan.exists);
-  EXPECT_FALSE(scan.legacy);
   EXPECT_FALSE(scan.torn) << scan.tail_error;
   EXPECT_GT(scan.segments_scanned, 3u);
   expect_same_records(scan.records, records, "scan");
@@ -264,31 +263,72 @@ TEST_F(WalSegmentTest, CompactionDeletesOnlyCoveredSealedSegments) {
   EXPECT_EQ(scan.records.back(), records.back());
 }
 
-TEST_F(WalSegmentTest, LegacyBareFileIsAdoptedAndRotatesOut) {
-  const std::string b = base("leg.wal");
-  const std::vector<WalRecord> records = sample_records(11, 9);
+// A plain file at the base path with no manifest is not a log this reader
+// can resume. Adopting it or starting over it could lose acked offers, so
+// scanning, resuming and starting fresh all refuse it and leave it as is.
+TEST_F(WalSegmentTest, BareBaseFileIsRefused) {
+  const std::string b = base("bare.wal");
   {
-    // A pre-segmentation log: bare "CDBPWAL1" file at the base path.
-    WalWriter w(b, FsyncPolicy::kNone, 1, /*truncate=*/true);
-    for (std::size_t i = 0; i < 5; ++i) w.append(records[i]);
+    WalWriter w(b, FsyncPolicy::kNone, /*truncate=*/true);
+    for (const WalRecord& rec : sample_records(5, 9)) w.append(rec);
     w.close();
   }
   ASSERT_FALSE(read_wal_manifest(b).has_value());
+  const std::uint64_t size = fs::file_size(b);
 
-  const SegmentedWalScan scan = scan_segmented_wal(b);
-  EXPECT_TRUE(scan.legacy);
-  EXPECT_EQ(scan.records.size(), 5u);
+  try {
+    (void)scan_segmented_wal(b);
+    ADD_FAILURE() << "scan adopted a bare base file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no manifest"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(SegmentedWal(b, tiny_segments(), /*truncate=*/false),
+               std::runtime_error);
+  EXPECT_THROW(SegmentedWal(b, tiny_segments(), /*truncate=*/true),
+               std::runtime_error);
+  EXPECT_EQ(fs::file_size(b), size);
+  EXPECT_FALSE(read_wal_manifest(b).has_value());
+}
 
+// A CRC-valid frame of the retired type 1 is an acked offer. Recovery must
+// fail loudly and leave the segment byte for byte as it was: treating the
+// frame as unknown (skip) or as torn tail (truncate) would drop it.
+TEST_F(WalSegmentTest, RetiredType1FrameFailsRecoveryWithoutTruncation) {
+  const std::string b = base("old.wal");
+  const std::vector<WalRecord> records = sample_records(3, 14);
+  std::string seg;
   {
-    SegmentedWal wal(b, tiny_segments(), /*truncate=*/false);
-    for (std::size_t i = 5; i < records.size(); ++i) wal.append(records[i]);
-    EXPECT_GT(wal.rotations(), 0u);  // appends rotated out of the bare file
+    SegmentedWal wal(b, tiny_segments(), /*truncate=*/true);
+    for (const WalRecord& rec : records) wal.append(rec);
+    seg = wal.active_segment_path();
     wal.close();
   }
-  const auto manifest = read_wal_manifest(b);
-  ASSERT_TRUE(manifest.has_value());
-  EXPECT_EQ(manifest->segments.front().file, "leg.wal");
-  expect_same_records(scan_segmented_wal(b).records, records, "adopted");
+  {
+    // The retired layout: the fixed offer body with no tenant_len.
+    StateWriter payload;
+    payload.u8(1);
+    for (int i = 0; i < 6; ++i) payload.u64(0);
+    StateWriter frame;
+    frame.u32(static_cast<std::uint32_t>(payload.size()));
+    frame.u32(crc32(payload.buffer().data(), payload.size()));
+    std::ofstream f(seg, std::ios::binary | std::ios::app);
+    f.write(frame.buffer().data(), static_cast<std::streamsize>(frame.size()));
+    f.write(payload.buffer().data(),
+            static_cast<std::streamsize>(payload.size()));
+  }
+  const std::uint64_t size = fs::file_size(seg);
+
+  try {
+    (void)scan_segmented_wal(b);
+    ADD_FAILURE() << "scan accepted a retired type-1 frame";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("type-1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(SegmentedWal(b, tiny_segments(), /*truncate=*/false),
+               std::runtime_error);
+  EXPECT_EQ(fs::file_size(seg), size);
 }
 
 TEST_F(WalSegmentTest, FreshTruncateClearsEveryTraceOfTheOldChain) {

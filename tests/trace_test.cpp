@@ -9,6 +9,7 @@
 
 #include "algos/any_fit.h"
 #include "core/simulator.h"
+#include "scratch_path.h"
 #include "test_util.h"
 
 namespace cdbp::trace {
@@ -33,8 +34,7 @@ TEST(Trace, InstanceRoundTripsExactly) {
 
 TEST(Trace, FileRoundTrip) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cdbp_trace_test.csv")
-          .string();
+      testutil::scratch_path("cdbp_trace_test.csv").string();
   const Instance in = testutil::make_instance({{0.0, 4.0, 0.5}});
   write_instance_csv(in, path);
   const Instance back = read_instance_csv(path);
@@ -107,8 +107,7 @@ TEST(Trace, MissingFileThrows) {
 
 TEST(Trace, TimelineCsv) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cdbp_timeline_test.csv")
-          .string();
+      testutil::scratch_path("cdbp_timeline_test.csv").string();
   const Instance in =
       testutil::make_instance({{0.0, 2.0, 0.9}, {1.0, 3.0, 0.9}});
   algos::FirstFit ff;
@@ -135,8 +134,7 @@ TEST(Trace, TimelineOstreamOverloadMatchesFileOverload) {
   write_timeline_csv(r, buf);
 
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cdbp_timeline_ostream.csv")
-          .string();
+      testutil::scratch_path("cdbp_timeline_ostream.csv").string();
   write_timeline_csv(r, path);
   std::ifstream file(path, std::ios::binary);
   std::ostringstream file_body;

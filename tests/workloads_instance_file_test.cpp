@@ -11,6 +11,7 @@
 
 #include "algos/any_fit.h"
 #include "core/simulator.h"
+#include "scratch_path.h"
 #include "test_util.h"
 #include "workloads/general_random.h"
 
@@ -18,7 +19,7 @@ namespace cdbp::workloads {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return testutil::scratch_path(name).string();
 }
 
 std::string slurp(const std::string& path) {
