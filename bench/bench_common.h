@@ -160,6 +160,21 @@ inline Spread spread(std::vector<double> v) {
   return s;
 }
 
+/// Shortest-round-trip JSON number ("%.17g").
+inline std::string json_num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// A Spread as a JSON object {"median": .., "min": .., "max": ..}.
+inline std::string spread_json(const Spread& s) {
+  std::string out = "{\"median\": ";
+  out.append(json_num(s.median)).append(", \"min\": ");
+  out.append(json_num(s.min)).append(", \"max\": ");
+  return out.append(json_num(s.max)).append("}");
+}
+
 /// Where a bench JSON came from, as JSON object members (no braces):
 /// the checkout's git SHA (suffixed "-dirty" when tracked files differ from
 /// it; "unknown" outside a git checkout), compiler, CMake build type and

@@ -11,9 +11,15 @@
 // the envelope fits + admissible lookahead are what lifted this past the
 // historical ~13-item ceiling.
 //
-// Emits machine-readable results to BENCH_OPT.json (override: --json PATH).
+// The reference sweep is the test oracle oracles::exact_opt_repacking_reference
+// (tests/oracles/, linked from the cdbp_oracles library). Every timed cell
+// runs kReps times and reports the median, min and max wall time.
+//
+// Emits machine-readable results to BENCH_OPT.json (override: --json PATH),
+// stamped with git SHA, compiler, build type and core count.
 // Exit status is the assertion: any cost mismatch, a zero cache hit rate,
-// or (full mode only) speedup < 5x / certified_n_max < 18 fails the run.
+// or (full mode only) a median speedup < 5x / certified_n_max < 18 fails
+// the run.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -23,31 +29,40 @@
 
 #include "bench_common.h"
 #include "opt/certify.h"
+#include "oracles/opt_reference.h"
 #include "workloads/general_random.h"
 
 namespace {
 
 using namespace cdbp;
 
-double min_wall_ms(int reps, const std::function<void()>& fn) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
+constexpr int kReps = 5;
+
+/// Wall time of kReps calls of `fn`, in milliseconds.
+bench::Spread wall_ms(const std::function<void()>& fn) {
+  std::vector<double> ms;
+  for (int r = 0; r < kReps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r == 0 || ms < best) best = ms;
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  return best;
+  return bench::spread(ms);
+}
+
+/// "median (min-max)" for the console tables.
+std::string ms_cell(const bench::Spread& s, int digits) {
+  return report::Table::num(s.median, digits) + " (" +
+         report::Table::num(s.min, digits) + "-" +
+         report::Table::num(s.max, digits) + ")";
 }
 
 struct PipelineRecord {
   std::string family;
   std::size_t n = 0;
-  double wall_ms = 0.0;            // pipeline
-  double wall_ms_reference = 0.0;  // old sequential sweep
-  double speedup = 0.0;
+  bench::Spread wall_ms;            // pipeline
+  bench::Spread wall_ms_reference;  // original sequential sweep (oracle)
+  double speedup = 0.0;             // ratio of the medians
   std::size_t snapshots = 0;  // distinct multisets solved
   std::size_t intervals = 0;  // non-empty event intervals
   double cache_hit_rate = 0.0;
@@ -58,7 +73,7 @@ struct CertifyRecord {
   std::size_t n = 0;
   std::uint64_t seed = 0;
   bool certified = false;
-  double wall_ms = 0.0;
+  bench::Spread wall_ms;
   std::size_t nodes = 0;
 };
 
@@ -80,11 +95,11 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
 
   bool ok = true;
-  const int reps = opts.quick ? 2 : 3;
 
   // ---- Part A: OPT_R reference sweep vs snapshot pipeline ----------------
   std::cout << "E17a: exact OPT_R — reference sweep vs snapshot pipeline "
-            << "(8 solver threads)\n\n";
+            << "(8 solver threads), ms: median (min-max) of " << kReps
+            << " runs\n\n";
   std::vector<PipelineRecord> records;
   {
     report::Table table({"family", "n", "ref ms", "pipeline ms", "speedup",
@@ -108,10 +123,10 @@ int main(int argc, char** argv) {
       popts.threads = 8;
 
       std::optional<opt::ExactRepackingResult> ref, pipe;
-      const double ref_ms = min_wall_ms(
-          reps, [&] { ref = opt::exact_opt_repacking_reference(in, ropts); });
-      const double pipe_ms =
-          min_wall_ms(reps, [&] { pipe = opt::exact_opt_repacking(in, popts); });
+      const bench::Spread ref_ms = wall_ms(
+          [&] { ref = oracles::exact_opt_repacking_reference(in, ropts); });
+      const bench::Spread pipe_ms =
+          wall_ms([&] { pipe = opt::exact_opt_repacking(in, popts); });
       if (!ref || !pipe) {
         std::cout << "FAIL: pipeline or reference returned nullopt at n=" << n
                   << "\n";
@@ -129,7 +144,7 @@ int main(int argc, char** argv) {
       rec.n = in.size();
       rec.wall_ms = pipe_ms;
       rec.wall_ms_reference = ref_ms;
-      rec.speedup = ref_ms / pipe_ms;
+      rec.speedup = ref_ms.median / pipe_ms.median;
       rec.snapshots = pipe->distinct_snapshots;
       rec.intervals = pipe->distinct_snapshots + pipe->cache_hits;
       rec.cache_hit_rate =
@@ -144,8 +159,7 @@ int main(int argc, char** argv) {
       }
       records.push_back(rec);
       table.add_row({rec.family, std::to_string(rec.n),
-                     report::Table::num(ref_ms, 2),
-                     report::Table::num(pipe_ms, 2),
+                     ms_cell(ref_ms, 2), ms_cell(pipe_ms, 2),
                      report::Table::num(rec.speedup, 1),
                      std::to_string(rec.snapshots),
                      report::Table::num(rec.cache_hit_rate, 3),
@@ -171,7 +185,7 @@ int main(int argc, char** argv) {
 
   // ---- Part B: OPT_NR certification ceiling ------------------------------
   std::cout << "E17b: exact OPT_NR certification with the default node "
-            << "budget\n\n";
+            << "budget, ms: median (min-max) of " << kReps << " runs\n\n";
   std::vector<CertifyRecord> ladder;
   std::size_t certified_n_max = 0;
   {
@@ -197,15 +211,14 @@ int main(int argc, char** argv) {
         rec.n = in.size();
         rec.seed = static_cast<std::uint64_t>(seed);
         std::optional<opt::ExactResult> r;
-        rec.wall_ms = min_wall_ms(
-            1, [&] { r = opt::exact_opt_nonrepacking(in); });
+        rec.wall_ms = wall_ms([&] { r = opt::exact_opt_nonrepacking(in); });
         rec.certified = r.has_value();
         rec.nodes = r ? r->nodes_explored : 0;
         all = all && rec.certified;
         ladder.push_back(rec);
         table.add_row({std::to_string(rec.n), std::to_string(seed),
                        rec.certified ? "yes" : "NO",
-                       report::Table::num(rec.wall_ms, 1),
+                       ms_cell(rec.wall_ms, 1),
                        std::to_string(rec.nodes)});
       }
       if (all) certified_n_max = std::max<std::size_t>(
@@ -222,14 +235,20 @@ int main(int argc, char** argv) {
 
   // ---- BENCH_OPT.json ----------------------------------------------------
   {
+    // Stamp before opening: truncating a tracked output file would mark
+    // the tree dirty.
+    const std::string provenance = bench::provenance_json();
     std::ostringstream js;
-    js << "{\n  \"bench\": \"bench_opt_pipeline\",\n  \"quick\": "
-       << (opts.quick ? "true" : "false") << ",\n  \"records\": [\n";
+    js << "{\n  \"bench\": \"bench_opt_pipeline\",\n  " << provenance
+       << ",\n  \"quick\": " << (opts.quick ? "true" : "false")
+       << ",\n  \"reps\": " << kReps << ",\n  \"records\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
       const PipelineRecord& r = records[i];
       js << "    {\"family\": \"" << json_escape(r.family)
-         << "\", \"n\": " << r.n << ", \"wall_ms\": " << r.wall_ms
-         << ", \"wall_ms_reference\": " << r.wall_ms_reference
+         << "\", \"n\": " << r.n
+         << ", \"wall_ms\": " << bench::spread_json(r.wall_ms)
+         << ", \"wall_ms_reference\": "
+         << bench::spread_json(r.wall_ms_reference)
          << ", \"speedup\": " << r.speedup
          << ", \"snapshots\": " << r.snapshots
          << ", \"intervals\": " << r.intervals
@@ -242,7 +261,8 @@ int main(int argc, char** argv) {
       const CertifyRecord& r = ladder[i];
       js << "    {\"n\": " << r.n << ", \"seed\": " << r.seed
          << ", \"certified\": " << (r.certified ? "true" : "false")
-         << ", \"wall_ms\": " << r.wall_ms << ", \"nodes\": " << r.nodes
+         << ", \"wall_ms\": " << bench::spread_json(r.wall_ms)
+         << ", \"nodes\": " << r.nodes
          << "}" << (i + 1 < ladder.size() ? "," : "") << "\n";
     }
     js << "  ],\n  \"certified_n_max\": " << certified_n_max << "\n}\n";

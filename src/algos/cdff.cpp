@@ -32,7 +32,7 @@ std::int64_t to_integer_time(Time t, const char* what) {
 
 }  // namespace
 
-Cdff::Cdff(FitRule rule, SelectMode mode) : rule_(rule), mode_(mode) {}
+Cdff::Cdff(FitRule rule) : rule_(rule) {}
 
 int Cdff::m_of(Time t) const {
   if (t == seg_start_) return seg_n_;
@@ -74,14 +74,11 @@ BinId Cdff::on_arrival(const Item& item, Ledger& ledger) {
   // Row key (see header): delta = i + (n - m_t); equals i at segment start.
   const int delta = bucket + (seg_n_ - m);
 
-  std::vector<BinId>& row = rows_[delta];
-  BinId bin = mode_ == SelectMode::kIndexed
-                  ? pick_bin_indexed(ledger, /*pool=*/delta, item.size, rule_)
-                  : pick_bin(ledger, row, item.size, rule_);
+  BinId bin = pick_bin_indexed(ledger, /*pool=*/delta, item.size, rule_);
   const bool opened = bin == kNoBin;
   if (opened) {
     bin = ledger.open_bin(item.arrival, /*group=*/delta);
-    row.push_back(bin);
+    rows_[delta].push_back(bin);
     bin_row_.emplace(bin, delta);
   }
   ledger.place(item.id, item.size, bin, item.arrival);

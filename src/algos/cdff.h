@@ -38,8 +38,7 @@ namespace cdbp::algos {
 
 class Cdff : public Algorithm, public Checkpointable {
  public:
-  explicit Cdff(FitRule rule = FitRule::kFirst,
-                SelectMode mode = SelectMode::kIndexed);
+  explicit Cdff(FitRule rule = FitRule::kFirst);
 
   [[nodiscard]] std::string name() const override { return "CDFF"; }
 
@@ -78,7 +77,6 @@ class Cdff : public Algorithm, public Checkpointable {
   [[nodiscard]] int m_of(Time t) const;
 
   FitRule rule_;
-  SelectMode mode_;
 
   // Segment state.
   bool in_segment_ = false;

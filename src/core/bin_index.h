@@ -19,8 +19,9 @@
 //
 // Closed bins keep their slot but are parked at kClosedLoad, a sentinel
 // above any admissible load, so they can never be selected. Tie-breaking
-// is bit-identical to the seed linear scans in algos::pick_bin (earliest
-// opened wins), which the integration equivalence tests lock in.
+// is bit-identical to a linear scan in opening order (earliest opened
+// wins); the SelectionEquivalence tests check every placement against the
+// scan in tests/oracles/selection_checker.h.
 #pragma once
 
 #include <cstddef>

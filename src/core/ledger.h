@@ -110,7 +110,8 @@ class Ledger {
 
   // --- O(log B) capacity-indexed selection (incrementally maintained by
   // open_bin/place/remove; see core/bin_index.h). Tie-breaking matches the
-  // seed linear scans of algos::pick_bin bit for bit.
+  // linear scan of the test oracle (tests/oracles/selection_checker.h)
+  // bit for bit.
 
   /// Earliest-opened open bin in `pool` admitting `size`; kNoBin if none.
   [[nodiscard]] BinId first_fit(PoolId pool, Load size) const;

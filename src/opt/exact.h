@@ -7,7 +7,7 @@
 // The optimized engine keeps three invariants-driven shortcuts, none of
 // which can change the optimum or the reported assignment (every pruned
 // subtree provably contains no improving leaf, so the incumbent-update
-// sequence is the reference's):
+// sequence is that of the plain search):
 //   * items are placed in arrival order, so a bin's load on
 //     [r.arrival, inf) is non-increasing — the capacity probe collapses to
 //     one lookup at r.arrival, answered in O(log m) from a
@@ -20,8 +20,9 @@
 //     compute_bounds().lower(), no strict improvement can exist and the
 //     search stops.
 //
-// ExactEngine::kReference preserves the original search verbatim as the
-// equivalence oracle (same precedent as exact_opt_repacking_reference).
+// The original search without these shortcuts is kept in tests/oracles/
+// (exact_opt_nonrepacking_reference); the PipelineEquivalence tests require
+// the same cost and assignment from both.
 #pragma once
 
 #include <cstddef>
@@ -38,15 +39,9 @@ struct ExactResult {
   std::size_t nodes_explored = 0;
 };
 
-enum class ExactEngine {
-  kOptimized,  ///< envelope fits + admissible lookahead (default)
-  kReference,  ///< the original O(m^2)-probe search, kept as oracle
-};
-
 struct ExactOptions {
   std::size_t max_items = 18;            ///< refuse larger instances
   std::size_t node_limit = 200'000'000;  ///< safety valve
-  ExactEngine engine = ExactEngine::kOptimized;
 };
 
 /// Computes OPT_NR exactly. Returns nullopt if the instance exceeds
@@ -59,8 +54,8 @@ struct ExactOptions {
 /// span accounting would bill the gap between them — the historical seed
 /// skipped the guard and could overstate its own cost). The returned cost
 /// is therefore exactly the summed support measure of the produced bins —
-/// the incumbent the optimized engine seeds its search with (the reference
-/// engine keeps the historical seed, verbatim).
+/// the incumbent the search seeds itself with (the test oracle keeps the
+/// historical unguarded seed, verbatim).
 struct GreedySeed {
   Cost cost = 0.0;
   std::vector<int> assignment;

@@ -1,8 +1,8 @@
 // Equivalence and invariance properties across execution paths:
 //  * the batch Simulator and the interactive Session must produce
 //    identical costs/placements for every algorithm on the same stream;
-//  * indexed bin selection (capacity index) must reproduce the seed
-//    linear-scan selection bit for bit, placement by placement;
+//  * indexed bin selection (capacity index) must pick, placement by
+//    placement, the bin a linear scan of the same pool picks;
 //  * the column-store Ledger must reproduce the AoS ReferenceLedger oracle
 //    bit for bit, event by event;
 //  * OPT bounds are invariant under same-instant presentation reordering
@@ -19,10 +19,12 @@
 
 #include "algos/cdff.h"
 #include "algos/classify.h"
+#include "algos/harmonic.h"
 #include "algos/hybrid.h"
 #include "core/session.h"
 #include "core/simulator.h"
 #include "oracles/reference_ledger.h"
+#include "oracles/selection_checker.h"
 #include "opt/bounds.h"
 #include "opt/repack.h"
 #include "test_util.h"
@@ -64,87 +66,76 @@ TEST_P(SessionEquivalence, SimulatorAndSessionAgreeForEveryAlgorithm) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionEquivalence,
                          ::testing::Range<std::uint64_t>(0, 8));
 
-// --- Indexed selection vs the seed linear scan -----------------------------
+// --- Indexed selection vs the linear scan -----------------------------------
 //
-// The capacity index must be a pure data-structure change: every algorithm
-// running in SelectMode::kIndexed has to pick the exact same bin as the
-// seed SelectMode::kLinearScan implementation at every arrival, hence
-// produce a bit-identical cost. 18 seeds x (7 general + 9 aligned + 9
-// near-capacity) algorithm pairs = 450 instance/algorithm runs. The linear
-// scan tests fits_in_bin directly, so it is an independent oracle for
-// BestFit's key bound.
+// Every algorithm selects bins through the ledger's capacity index. Each
+// run here goes through oracles::SelectionChecker, which re-derives every
+// placement by a linear scan of the chosen pool's open bins (pick_bin) on
+// a pre-arrival snapshot of the ledger's loads, and throws on the first
+// disagreement. 18 seeds x (9 general + 11 aligned + 11 near-capacity)
+// algorithms. The scan tests fits_in_bin directly, so it is an
+// independent oracle for BestFit's key bound.
 
-struct ModePair {
+struct CheckedAlgo {
   std::string name;
-  std::function<AlgorithmPtr()> indexed;
-  std::function<AlgorithmPtr()> linear;
+  std::function<AlgorithmPtr()> make;
+  algos::FitRule rule;  ///< the rule the algorithm applies in every pool
 };
 
-std::vector<ModePair> mode_pairs() {
+std::vector<CheckedAlgo> checked_algos() {
   using namespace algos;
-  const auto af = [](FitRule r, SelectMode m) {
-    return std::make_unique<AnyFit>(r, m);
-  };
-  std::vector<ModePair> out;
+  std::vector<CheckedAlgo> out;
   for (const FitRule r : {FitRule::kFirst, FitRule::kBest, FitRule::kWorst,
                           FitRule::kNext})
-    out.push_back({AnyFit(r).name(),
-                   [=] { return af(r, SelectMode::kIndexed); },
-                   [=] { return af(r, SelectMode::kLinearScan); }});
+    out.push_back(
+        {AnyFit(r).name(), [r] { return std::make_unique<AnyFit>(r); }, r});
   out.push_back({"CBD2",
+                 [] { return std::make_unique<ClassifyByDuration>(); },
+                 FitRule::kFirst});
+  out.push_back({"CBD2-best",
                  [] {
                    return std::make_unique<ClassifyByDuration>(
-                       2.0, FitRule::kFirst, 0.0, SelectMode::kIndexed);
+                       2.0, FitRule::kBest);
                  },
-                 [] {
-                   return std::make_unique<ClassifyByDuration>(
-                       2.0, FitRule::kFirst, 0.0, SelectMode::kLinearScan);
-                 }});
-  out.push_back({"HA",
-                 [] { return std::make_unique<Hybrid>(); },
-                 [] {
-                   return std::make_unique<Hybrid>(
-                       &Hybrid::paper_threshold, "HA", FitRule::kFirst,
-                       SelectMode::kLinearScan);
-                 }});
+                 FitRule::kBest});
+  out.push_back({"Harmonic",
+                 [] { return std::make_unique<HarmonicFit>(); },
+                 FitRule::kFirst});
+  out.push_back(
+      {"HA", [] { return std::make_unique<Hybrid>(); }, FitRule::kFirst});
   out.push_back({"HA-best",
                  [] {
                    return std::make_unique<Hybrid>(&Hybrid::paper_threshold,
                                                    "HA-best", FitRule::kBest);
                  },
-                 [] {
-                   return std::make_unique<Hybrid>(
-                       &Hybrid::paper_threshold, "HA-best", FitRule::kBest,
-                       SelectMode::kLinearScan);
-                 }});
+                 FitRule::kBest});
   return out;
 }
 
-// CDFF is only defined on aligned inputs, so its pairs run on those alone.
-std::vector<ModePair> cdff_pairs() {
+// CDFF is only defined on aligned inputs, so it runs on those alone.
+std::vector<CheckedAlgo> cdff_algos() {
   using namespace algos;
-  std::vector<ModePair> out;
+  std::vector<CheckedAlgo> out;
   for (const auto& [name, rule] : {std::pair{"CDFF", FitRule::kFirst},
                                    std::pair{"CDBF", FitRule::kBest}})
     out.push_back({name, [rule] { return std::make_unique<Cdff>(rule); },
-                   [rule] {
-                     return std::make_unique<Cdff>(rule,
-                                                   SelectMode::kLinearScan);
-                   }});
+                   rule});
   return out;
 }
 
-void expect_same_run(const Instance& in, const ModePair& pair) {
-  auto idx_algo = pair.indexed();
-  auto lin_algo = pair.linear();
-  const RunResult idx = Simulator{}.run(in, *idx_algo);
-  const RunResult lin = Simulator{}.run(in, *lin_algo);
-  // Bitwise, not NEAR: identical selections must yield identical sums.
-  EXPECT_EQ(idx.cost, lin.cost) << pair.name;
-  ASSERT_EQ(idx.placements.size(), lin.placements.size()) << pair.name;
-  for (std::size_t k = 0; k < idx.placements.size(); ++k)
-    ASSERT_EQ(idx.placements[k].bin, lin.placements[k].bin)
-        << pair.name << " item " << k;
+void expect_scan_selection(const Instance& in, const CheckedAlgo& algo) {
+  oracles::SelectionChecker checker(algo.make(), algo.rule);
+  RunResult checked;
+  EXPECT_NO_THROW(checked = Simulator{}.run(in, checker)) << algo.name;
+  EXPECT_EQ(checker.checked(), in.size()) << algo.name;
+  // The checker only observes: the bare algorithm runs identically.
+  auto bare = algo.make();
+  const RunResult plain = Simulator{}.run(in, *bare);
+  EXPECT_EQ(checked.cost, plain.cost) << algo.name;  // bitwise
+  ASSERT_EQ(checked.placements.size(), plain.placements.size()) << algo.name;
+  for (std::size_t k = 0; k < plain.placements.size(); ++k)
+    ASSERT_EQ(checked.placements[k].bin, plain.placements[k].bin)
+        << algo.name << " item " << k;
 }
 
 // Near-capacity family: keeps `in`'s times and redraws every size. Half the
@@ -200,7 +191,8 @@ TEST_P(SelectionEquivalence, IndexedMatchesLinearScanOnGeneralInstances) {
   cfg.log2_mu = 6;
   cfg.horizon = 40.0;  // dense enough to keep many bins open
   const Instance in = workloads::make_general_random(cfg, rng);
-  for (const ModePair& pair : mode_pairs()) expect_same_run(in, pair);
+  for (const CheckedAlgo& algo : checked_algos())
+    expect_scan_selection(in, algo);
 }
 
 TEST_P(SelectionEquivalence, IndexedMatchesLinearScanOnAlignedInstances) {
@@ -209,8 +201,9 @@ TEST_P(SelectionEquivalence, IndexedMatchesLinearScanOnAlignedInstances) {
   cfg.max_bucket = 5;
   cfg.n = 6;
   const Instance in = workloads::make_aligned_random(cfg, rng);
-  for (const ModePair& pair : mode_pairs()) expect_same_run(in, pair);
-  for (const ModePair& pair : cdff_pairs()) expect_same_run(in, pair);
+  for (const CheckedAlgo& algo : checked_algos())
+    expect_scan_selection(in, algo);
+  for (const CheckedAlgo& algo : cdff_algos()) expect_scan_selection(in, algo);
 }
 
 TEST_P(SelectionEquivalence, IndexedMatchesLinearScanNearCapacity) {
@@ -221,14 +214,16 @@ TEST_P(SelectionEquivalence, IndexedMatchesLinearScanNearCapacity) {
   general_cfg.horizon = 40.0;
   const Instance general = with_near_capacity_sizes(
       workloads::make_general_random(general_cfg, rng), rng);
-  for (const ModePair& pair : mode_pairs()) expect_same_run(general, pair);
+  for (const CheckedAlgo& algo : checked_algos())
+    expect_scan_selection(general, algo);
 
   workloads::AlignedConfig aligned_cfg;
   aligned_cfg.max_bucket = 5;
   aligned_cfg.n = 6;
   const Instance aligned = with_near_capacity_sizes(
       workloads::make_aligned_random(aligned_cfg, rng), rng);
-  for (const ModePair& pair : cdff_pairs()) expect_same_run(aligned, pair);
+  for (const CheckedAlgo& algo : cdff_algos())
+    expect_scan_selection(aligned, algo);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectionEquivalence,

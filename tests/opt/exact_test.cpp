@@ -9,6 +9,7 @@
 #include "core/simulator.h"
 #include "opt/bounds.h"
 #include "opt/offline_ffd.h"
+#include "oracles/opt_reference.h"
 #include "test_util.h"
 #include "workloads/general_random.h"
 
@@ -66,7 +67,8 @@ TEST(Exact, RefusesOversizeInstances) {
 TEST(Exact, NodeLimitAborts) {
   // Staircase heavies: no two overlapping items share a bin, the greedy
   // seed lands strictly above the certified lower bound, and the admissible
-  // lookahead cannot prune the root — both engines must actually search,
+  // lookahead cannot prune the root — the search and its reference oracle
+  // must both actually search,
   // so a 5-node budget aborts. (The old all-overlapping instance is now
   // solved outright by the seed + lower-bound floor.)
   Instance in;
@@ -76,8 +78,7 @@ TEST(Exact, NodeLimitAborts) {
   opt::ExactOptions opts;
   opts.node_limit = 5;
   EXPECT_FALSE(opt::exact_opt_nonrepacking(in, opts).has_value());
-  opts.engine = opt::ExactEngine::kReference;
-  EXPECT_FALSE(opt::exact_opt_nonrepacking(in, opts).has_value());
+  EXPECT_FALSE(oracles::exact_opt_nonrepacking_reference(in, opts).has_value());
 }
 
 TEST(Exact, GreedySeedDoesNotBillGaps) {
